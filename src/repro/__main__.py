@@ -61,6 +61,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -148,6 +149,25 @@ def cmd_experiments(args) -> int:
     write_chrome_json(args.trace, tracer)
     print(f"wrote {args.trace} ({tracer.num_events} trace events)")
     return code
+
+
+def _positive(kind):
+    """argparse type: a finite, strictly positive ``kind`` (int/float)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and > 0, got {text}"
+            )
+        return value
+
+    return parse
 
 
 def cmd_serve(args) -> int:
@@ -294,6 +314,8 @@ def cmd_info(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
+    from repro.bench import lane_id
+
     cli = argparse.ArgumentParser(
         prog="python -m repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -330,13 +352,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "serve", help="run the concurrent query-serving host layer"
     )
-    p.add_argument("--queries", type=int, default=100,
+    p.add_argument("--queries", type=_positive(int), default=100,
                    help="number of queries in the arrival stream")
-    p.add_argument("--load", type=float, default=1.0,
+    p.add_argument("--load", type=_positive(float), default=1.0,
                    help="offered load as a multiple of sustainable")
     p.add_argument("--fault-fraction", type=float, default=0.0,
                    help="fraction of replicas built degraded")
-    p.add_argument("--replicas", type=int, default=4)
+    p.add_argument("--replicas", type=_positive(int), default=4)
     p.add_argument("--queue-capacity", type=int, default=16)
     p.add_argument("--shed-policy", default="reject-newest",
                    choices=["reject-newest", "reject-over-deadline"])
@@ -409,7 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser(
         "bench", help="wall-clock events/sec on the simulator hot paths"
     )
-    p.add_argument("workloads", nargs="*",
+    p.add_argument("workloads", nargs="*", type=lane_id,
                    help="workload ids (default: propagate propagate-vec "
                         "faults overload dispatch)")
     p.add_argument("--smoke", action="store_true",

@@ -116,6 +116,11 @@ def render_report_timeline(report: MachineRunReport, width: int = 64) -> str:
                 report.perf_records, report.total_time_us, width=width
             ),
         ]
+    else:
+        parts.append(
+            "\ncluster activity: no perfnet records (run with "
+            "perf=PerformanceCollector() to collect them)"
+        )
     parts.append(
         f"\nmean in-flight instructions: {overlap_factor(report.traces):.2f}"
     )

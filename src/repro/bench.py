@@ -48,6 +48,7 @@ masquerade as a real measurement.
 
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import json
@@ -85,6 +86,17 @@ DEFAULT_OUT = "BENCH_PERF.json"
 
 #: Workload ids in report order.
 WORKLOADS = ("propagate", "propagate-vec", "faults", "overload", "dispatch")
+
+
+
+def lane_id(text: str) -> str:
+    """argparse type for a bench lane id: unknown ids are usage errors."""
+    if text not in WORKLOADS:
+        raise argparse.ArgumentTypeError(
+            f"unknown bench lane {text!r}; known: {', '.join(WORKLOADS)}"
+        )
+    return text
+
 
 #: Backend choices accepted by ``--backend``.
 BACKEND_CHOICES = ("python", "vectorized", "both")
@@ -579,14 +591,12 @@ def _print_row(name: str, row: Dict[str, Any]) -> None:
 
 def main(argv=None) -> int:
     """CLI entry point for ``python -m repro bench``."""
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description="wall-clock events/sec on the simulator hot paths",
     )
     parser.add_argument(
-        "workloads", nargs="*",
+        "workloads", nargs="*", type=lane_id,
         help=f"workload ids to run (default: all of {WORKLOADS})",
     )
     parser.add_argument(

@@ -8,7 +8,6 @@ machine simulator.
 
 from .tables import (
     ClusterTables,
-    EMPTY_SLOT,
     MACHINE_NODE_CAPACITY,
     MarkerStatusTable,
     NodeTable,
@@ -57,7 +56,7 @@ __all__ = [
     "BACKENDS", "PropagationBackend", "PropagationOutcome",
     "PythonBackend", "VectorizedBackend", "get_default_backend",
     "make_backend", "set_default_backend",
-    "ClusterTables", "EMPTY_SLOT", "MACHINE_NODE_CAPACITY",
+    "ClusterTables", "MACHINE_NODE_CAPACITY",
     "MarkerStatusTable", "NodeTable", "RelationEntry", "RelationTable",
     "TableError", "WORD_BITS", "build_tables",
     "ActivationMessage", "FIELD_WIDTHS", "MESSAGE_BITS", "MESSAGE_BYTES",

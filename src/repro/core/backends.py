@@ -5,7 +5,7 @@ pure-Python breadth-first worklist.  That loop is the *golden model*:
 exact semantics, one arrival at a time.  This module keeps it
 (:class:`PythonBackend`) and adds :class:`VectorizedBackend`, which
 runs the same computation wave-synchronously with numpy — dense
-arrival arrays, CSR-style adjacency gathered in bulk, bit-packed
+arrival arrays, the compiled links gathered in bulk, bit-packed
 status updates done a word at a time — while reproducing the golden
 model bit for bit: identical marker status/value/origin state,
 identical :class:`~repro.core.state.WorkReport` counters, identical
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Optional, Type, Union
 
 import numpy as np
@@ -37,7 +38,6 @@ import numpy as np
 from ..isa.functions import always_alive
 from ..isa.instructions import Propagate, is_complex
 from .state import MAX_EXPANSIONS, MachineState, WorkReport
-from .tables import EMPTY_SLOT
 
 
 @dataclass
@@ -93,25 +93,22 @@ class PythonBackend(PropagationBackend):
         work = WorkReport()
         queue = deque()
 
+        expand, deliver = state.expand, state.deliver
         for cid in range(state.num_clusters):
             seeds, seed_work = state.seeds(ctx, cid)
             work.merge(seed_work)
             # Seeds are expanded directly: the origin node re-emits the
             # marker without receiving it.
             for seed in seeds:
-                local_out, remote_out, expand_work = state.expand(ctx, seed)
-                work.merge(expand_work)
+                local_out, remote_out = expand(ctx, seed, work)
                 queue.extend(local_out)
                 queue.extend(state.message_to_arrival(m) for m in remote_out)
 
         while queue:
             arrival = queue.popleft()
-            should_expand, deliver_work = state.deliver(ctx, arrival)
-            work.merge(deliver_work)
-            if not should_expand:
+            if not deliver(ctx, arrival, work):
                 continue
-            local_out, remote_out, expand_work = state.expand(ctx, arrival)
-            work.merge(expand_work)
+            local_out, remote_out = expand(ctx, arrival, work)
             queue.extend(local_out)
             queue.extend(state.message_to_arrival(m) for m in remote_out)
 
@@ -127,11 +124,11 @@ class PythonBackend(PropagationBackend):
 
 @dataclass
 class _Adjacency:
-    """Flat, machine-wide CSR view of every cluster's relation table.
+    """Flat, machine-wide CSR view of every cluster's compiled links.
 
     Local ids are renumbered into one flat space (cluster-major, so
-    flat order equals the golden model's seed-scan order); continuation
-    chains and overflow slots are pre-walked into plain edge lists.
+    flat order equals the golden model's seed-scan order); the edges
+    are :meth:`RelationTable.compiled`'s links, already walked.
     """
 
     offsets: np.ndarray            # (C+1,) cluster id -> flat base
@@ -144,7 +141,46 @@ class _Adjacency:
     edge_dest: np.ndarray          # flat destination per edge
     edge_dest_cluster: np.ndarray  # destination cluster per edge
     edge_weight: np.ndarray        # float64 weight per edge
-    scanned: np.ndarray            # (N,) slots links_of would scan
+    scanned: np.ndarray            # (N,) slots an MU scans per node
+
+    @classmethod
+    def of(cls, state: MachineState) -> "_Adjacency":
+        """Flatten the clusters' compiled links into numpy arrays."""
+        sizes = [t.num_nodes for t in state.clusters]
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        cluster_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        links, scanned = [], []
+        for t in state.clusters:
+            node_links, node_scanned = t.relations.compiled()
+            links.extend(node_links)
+            scanned.extend(node_scanned)
+        indptr = np.zeros(len(links) + 1, dtype=np.int64)
+        np.cumsum([len(node) for node in links], out=indptr[1:])
+        # Columns follow RelationEntry; every id and every float32
+        # weight is exact in float64.
+        edges = np.fromiter(
+            chain.from_iterable(chain.from_iterable(links)),
+            dtype=np.float64, count=5 * int(indptr[-1]),
+        ).reshape(-1, 5)
+        dest_cluster = edges[:, 1].astype(np.int64)
+        return cls(
+            offsets=offsets,
+            n_total=len(links),
+            cluster_of=cluster_of,
+            local_of=np.arange(len(links), dtype=np.int64)
+            - offsets[cluster_of],
+            to_global=np.array(
+                [g for t in state.clusters for g in t.to_global],
+                dtype=np.int64,
+            ),
+            indptr=indptr,
+            edge_rel=edges[:, 0].astype(np.int64),
+            edge_dest=offsets[dest_cluster] + edges[:, 2].astype(np.int64),
+            edge_dest_cluster=dest_cluster,
+            edge_weight=edges[:, 4].copy(),
+            scanned=np.array(scanned, dtype=np.int64),
+        )
 
 
 class VectorizedBackend(PropagationBackend):
@@ -153,7 +189,7 @@ class VectorizedBackend(PropagationBackend):
     Holds no marker state of its own — it reads and writes the same
     bit-packed status words and float32 value registers as the golden
     model, just in bulk.  The only derived structure is the flat CSR
-    adjacency, cached across calls and invalidated by
+    view of the compiled links, cached across calls and invalidated by
     :attr:`MachineState.mutation_version`.
 
     Duplicate same-wave arrivals at one (node, rule-state) are the one
@@ -178,98 +214,10 @@ class VectorizedBackend(PropagationBackend):
             or self._adj_state is not state
             or self._adj_version != state.mutation_version
         ):
-            self._adj = self._build_adjacency(state)
+            self._adj = _Adjacency.of(state)
             self._adj_state = state
             self._adj_version = state.mutation_version
         return self._adj
-
-    @staticmethod
-    def _build_adjacency(state: MachineState) -> _Adjacency:
-        clusters = state.clusters
-        sizes = np.array([t.num_nodes for t in clusters], dtype=np.int64)
-        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        n_total = int(offsets[-1])
-        cluster_of = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-        local_of = (
-            np.concatenate([np.arange(s, dtype=np.int64) for s in sizes])
-            if n_total
-            else np.zeros(0, dtype=np.int64)
-        )
-        to_global = (
-            np.concatenate(
-                [np.asarray(t.to_global, dtype=np.int64) for t in clusters]
-            )
-            if n_total
-            else np.zeros(0, dtype=np.int64)
-        )
-
-        indptr = np.zeros(n_total + 1, dtype=np.int64)
-        scanned = np.zeros(n_total, dtype=np.int64)
-        rel_parts, destc_parts, destf_parts, w_parts = [], [], [], []
-        for t in clusters:
-            r = t.relations
-            n = t.num_nodes
-            if n == 0:
-                continue
-            base = int(offsets[t.cluster_id])
-            reltab = r.relation[:n]
-            cont = r.cont_relation_id
-            needs_walk = r.has_overflow or (
-                cont is not None and bool((reltab == cont).any())
-            )
-            if not needs_walk:
-                # Pure static slots: edges are the filled slots in
-                # (node, slot) order — exactly links_of's order — and
-                # the scan count is the fill count.
-                filled = reltab != EMPTY_SLOT
-                counts = filled.sum(axis=1).astype(np.int64)
-                rows, cols = np.nonzero(filled)
-                dc = r.dest_cluster[:n][rows, cols].astype(np.int64)
-                dl = r.dest_local[:n][rows, cols].astype(np.int64)
-                rel_parts.append(reltab[rows, cols].astype(np.int64))
-                destc_parts.append(dc)
-                destf_parts.append(offsets[dc] + dl)
-                w_parts.append(r.weight[:n][rows, cols].astype(np.float64))
-                indptr[base + 1: base + n + 1] = counts
-                scanned[base: base + n] = counts
-            else:
-                rel_l, dc_l, df_l, w_l = [], [], [], []
-                for lid in range(n):
-                    entries, sc = r.links_of(lid)
-                    scanned[base + lid] = sc
-                    indptr[base + lid + 1] = len(entries)
-                    for e in entries:
-                        rel_l.append(e.relation)
-                        dc_l.append(e.dest_cluster)
-                        df_l.append(int(offsets[e.dest_cluster]) + e.dest_local)
-                        w_l.append(e.weight)
-                rel_parts.append(np.asarray(rel_l, dtype=np.int64))
-                destc_parts.append(np.asarray(dc_l, dtype=np.int64))
-                destf_parts.append(np.asarray(df_l, dtype=np.int64))
-                w_parts.append(np.asarray(w_l, dtype=np.float64))
-
-        np.cumsum(indptr, out=indptr)
-        empty64 = np.zeros(0, dtype=np.int64)
-        return _Adjacency(
-            offsets=offsets,
-            n_total=n_total,
-            cluster_of=cluster_of,
-            local_of=local_of,
-            to_global=to_global,
-            indptr=indptr,
-            edge_rel=np.concatenate(rel_parts) if rel_parts else empty64,
-            edge_dest=np.concatenate(destf_parts) if destf_parts else empty64,
-            edge_dest_cluster=(
-                np.concatenate(destc_parts) if destc_parts else empty64
-            ),
-            edge_weight=(
-                np.concatenate(w_parts)
-                if w_parts
-                else np.zeros(0, dtype=np.float64)
-            ),
-            scanned=scanned,
-        )
 
     # -- the wave loop ---------------------------------------------------
     def propagate(

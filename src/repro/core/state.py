@@ -26,9 +26,9 @@ sequence" reading of marker values, independent of message ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..isa.functions import FunctionRegistry, condition
+from ..isa.functions import FunctionRegistry, always_alive, condition
 from ..isa.instructions import (
     AndMarker,
     ClearMarker,
@@ -136,7 +136,10 @@ class PropagationContext:
     instr: Propagate
     rule: PropagationRule
     compiled: CompiledRule
-    hop_name: str
+    #: The hop function's scalar update, resolved once per PROPAGATE.
+    hop_apply: Callable[[float, float], float]
+    #: Its liveness predicate; ``None`` when markers never die.
+    hop_alive: Optional[Callable[[float], bool]] = None
     level: int = 0
     #: (cluster, local, state) -> best value already expanded from.
     expanded: Dict[Tuple[int, int, int], float] = field(default_factory=dict)
@@ -420,10 +423,10 @@ class MachineState:
         work = WorkReport()
         if rid is None:
             return work
-        for lid in range(tables.num_nodes):
-            entries, scanned = tables.relations.links_of(lid)
-            work.slots += scanned
-            if any(e.relation == rid for e in entries):
+        links, scanned = tables.relations.compiled()
+        work.slots += sum(scanned)
+        for lid, node_links in enumerate(links):
+            if any(link.relation == rid for link in node_links):
                 tables.status.set(instr.marker, lid)
                 gid = tables.to_global[lid]
                 tables.node_table.set_value(lid, instr.marker, instr.value, gid)
@@ -455,8 +458,9 @@ class MachineState:
             instr=instr,
             rule=instr.rule,
             compiled=self.compile_rule(instr.rule),
-            hop_name=hop.name,
             level=level,
+            hop_apply=hop.combine,
+            hop_alive=None if hop.alive is always_alive else hop.alive,
         )
 
     def seeds(
@@ -491,103 +495,90 @@ class MachineState:
         return out, work
 
     def expand(
-        self, ctx: PropagationContext, arrival: Arrival
-    ) -> Tuple[List[Arrival], List[ActivationMessage], WorkReport]:
+        self, ctx: PropagationContext, arrival: Arrival, work: WorkReport
+    ) -> Tuple[List[Arrival], List[ActivationMessage]]:
         """Expand propagation from a node: scan links, emit deliveries.
 
         Local destinations come back as :class:`Arrival`; destinations
         on other clusters come back as :class:`ActivationMessage` for
-        the CU/ICN to transport.
+        the CU/ICN to transport.  The work performed is added to
+        ``work``.
         """
-        work = WorkReport()
-        key = (arrival.cluster, arrival.local, arrival.state)
+        cluster, local, state = arrival.cluster, arrival.local, arrival.state
+        key = (cluster, local, state)
         count = ctx.expansions.get(key, 0)
         if count >= ctx.max_expansions:
-            return [], [], work
+            return [], []
         ctx.expansions[key] = count + 1
         ctx.expanded[key] = arrival.value
 
-        moves = ctx.compiled.get(arrival.state, ())
+        moves = ctx.compiled.get(state)
         if not moves:
-            return [], [], work
+            return [], []
 
-        hop = self.functions.hop(ctx.instr.function)
-        tables = self.clusters[arrival.cluster]
-        entries, scanned = tables.relations.links_of(arrival.local)
-        work.slots += scanned
-
+        links, scanned = self.clusters[cluster].relations.compiled()
+        work.slots += scanned[local]
+        apply, alive = ctx.hop_apply, ctx.hop_alive
+        value, origin, level = arrival.value, arrival.origin, arrival.level
+        hops = arrival.hops + 1
+        fp_ops = 0
         local_out: List[Arrival] = []
         remote_out: List[ActivationMessage] = []
-        for entry in entries:
+        for relation, dest_cluster, dest_local, _gid, weight in links[local]:
             for rid, next_state in moves:
-                if entry.relation != rid:
+                if relation != rid:
                     continue
-                new_value = hop.apply(arrival.value, entry.weight)
-                work.fp_ops += 1
-                if not hop.alive(new_value):
+                new_value = apply(value, weight)
+                fp_ops += 1
+                if alive is not None and not alive(new_value):
                     continue
-                if entry.dest_cluster == arrival.cluster:
-                    local_out.append(
-                        Arrival(
-                            cluster=entry.dest_cluster,
-                            local=entry.dest_local,
-                            state=next_state,
-                            value=new_value,
-                            origin=arrival.origin,
-                            level=arrival.level,
-                            hops=arrival.hops + 1,
-                        )
-                    )
+                if dest_cluster == cluster:
+                    local_out.append(Arrival(
+                        cluster, dest_local, next_state, new_value,
+                        origin, level, hops,
+                    ))
                 else:
-                    work.messages += 1
-                    ctx.remote_messages += 1
-                    remote_out.append(
-                        ActivationMessage(
-                            marker=ctx.instr.marker2,
-                            value=new_value,
-                            function=0,
-                            rule=ctx.rule,
-                            state=next_state,
-                            dest_cluster=entry.dest_cluster,
-                            dest_local=entry.dest_local,
-                            origin=arrival.origin,
-                            level=arrival.level,
-                            hops=arrival.hops + 1,
-                        )
-                    )
-        return local_out, remote_out, work
+                    remote_out.append(ActivationMessage(
+                        ctx.instr.marker2, new_value, 0, ctx.rule,
+                        next_state, dest_cluster, dest_local, origin,
+                        level, hops,
+                    ))
+        work.fp_ops += fp_ops
+        work.messages += len(remote_out)
+        ctx.remote_messages += len(remote_out)
+        return local_out, remote_out
 
     def deliver(
-        self, ctx: PropagationContext, arrival: Arrival
-    ) -> Tuple[bool, WorkReport]:
+        self, ctx: PropagationContext, arrival: Arrival, work: WorkReport
+    ) -> bool:
         """Set marker-2 at the destination; decide whether to re-expand.
 
-        Returns (should_expand, work).  Expansion happens on first
-        arrival at a (node, rule-state), or when a strictly smaller
-        complex-marker value arrives (min-cost fixpoint semantics).
+        Adds the work performed to ``work`` and returns whether the
+        node expands: on first arrival at a (node, rule-state), or when
+        a strictly smaller complex-marker value arrives (min-cost
+        fixpoint semantics).
         """
-        instr = ctx.instr
-        tables = self.clusters[arrival.cluster]
-        work = WorkReport(nodes=1)
+        marker2 = ctx.instr.marker2
+        cluster, local, value = arrival.cluster, arrival.local, arrival.value
+        tables = self.clusters[cluster]
+        work.nodes += 1
+        work.sets += 1
         ctx.total_arrivals += 1
         ctx.max_hops = max(ctx.max_hops, arrival.hops)
 
-        was_clear = tables.status.set(instr.marker2, arrival.local)
-        work.sets += 1
-        if is_complex(instr.marker2):
-            current = tables.node_table.get_value(arrival.local, instr.marker2)
-            if was_clear or arrival.value < current:
-                tables.node_table.set_value(
-                    arrival.local, instr.marker2, arrival.value, arrival.origin
-                )
+        was_clear = tables.status.set(marker2, local)
+        complex2 = is_complex(marker2)
+        if complex2:
+            registers = tables.node_table
+            if was_clear or value < registers.value.item(local, marker2):
+                registers.value[local, marker2] = value
+                registers.origin[local, marker2] = arrival.origin
                 work.fp_ops += 1
 
-        key = (arrival.cluster, arrival.local, arrival.state)
-        if key not in ctx.expanded:
-            return True, work
-        if is_complex(instr.marker2) and arrival.value < ctx.expanded[key]:
-            return True, work
-        return False, work
+        best = ctx.expanded.get((cluster, local, arrival.state))
+        if best is None:
+            return True
+        return complex2 and value < best
 
     def message_to_arrival(self, msg: ActivationMessage) -> Arrival:
         """Convert a transported activation message back to a delivery."""
@@ -816,14 +807,14 @@ class MachineState:
         out = []
         if rid is None:
             return out, work
+        links, scanned = tables.relations.compiled()
         for lid in tables.status.nodes_with(instr.marker):
             gid = tables.to_global[lid]
-            entries, scanned = tables.relations.links_of(lid)
-            work.slots += scanned
-            for entry in entries:
-                if entry.relation == rid:
+            work.slots += scanned[lid]
+            for link in links[lid]:
+                if link.relation == rid:
                     out.append(
-                        (gid, instr.relation, entry.dest_global, entry.weight)
+                        (gid, instr.relation, link.dest_global, link.weight)
                     )
             work.nodes += 1
         return out, work

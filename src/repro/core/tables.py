@@ -11,16 +11,18 @@ Each cluster stores its partition of the semantic network in:
 * a **relation table** — up to 16 outgoing relation slots per node,
   each holding (relation type, destination cluster, destination local
   id, 32-bit float weight).  Continuation slots installed by the
-  fanout pre-processor are walked transparently.
+  fanout pre-processor are walked once, when the table is compiled.
 
-All tables are numpy-backed; word-level operation counts (the unit of
-MU work) are exposed for the timing model.
+The status and node tables are numpy-backed; the relation table holds
+plain Python tuples, the form every propagation path reads.  Word- and
+slot-level operation counts (the unit of MU work) are exposed for the
+timing model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -36,10 +38,6 @@ WORD_BITS = 32
 #: Machine node capacity: "32K semantic network nodes were selected as
 #: a compromise between knowledge base size and machine cost".
 MACHINE_NODE_CAPACITY = 32 * 1024
-
-#: Sentinel for an empty relation slot.
-EMPTY_SLOT = -1
-
 
 class TableError(ValueError):
     """Raised on capacity violations or bad table access."""
@@ -67,20 +65,22 @@ class MarkerStatusTable:
     def set(self, marker: int, local: int) -> bool:
         """Set marker bit; returns True if it was previously clear."""
         word, bit = divmod(local, WORD_BITS)
-        mask = np.uint32(1 << bit)
-        was_clear = not (self._bits[marker, word] & mask)
-        self._bits[marker, word] |= mask
-        return was_clear
+        mask = 1 << bit
+        current = self._bits.item(marker, word)
+        if current & mask:
+            return False
+        self._bits[marker, word] = current | mask
+        return True
 
     def clear(self, marker: int, local: int) -> None:
-        """Discard all stored records."""
+        """Clear one marker bit at a local node."""
         word, bit = divmod(local, WORD_BITS)
         self._bits[marker, word] &= np.uint32(~np.uint32(1 << bit))
 
     def test(self, marker: int, local: int) -> bool:
         """Whether the marker bit is set at a local node."""
         word, bit = divmod(local, WORD_BITS)
-        return bool(self._bits[marker, word] >> np.uint32(bit) & 1)
+        return bool(self._bits.item(marker, word) >> bit & 1)
 
     # -- row (whole-marker) operations ----------------------------------
     def row(self, marker: int) -> np.ndarray:
@@ -250,9 +250,8 @@ class NodeTable:
         )
 
 
-@dataclass(frozen=True)
-class RelationEntry:
-    """One decoded relation-table slot."""
+class RelationEntry(NamedTuple):
+    """One decoded relation-table slot (plain ints, float32 weight)."""
 
     relation: int
     dest_cluster: int
@@ -261,121 +260,86 @@ class RelationEntry:
     weight: float
 
 
+#: A cluster's compiled links: per local node, its logical links in scan
+#: order (continuations walked, overflow appended) and the number of
+#: relation slots an MU scans to read them.
+CompiledLinks = Tuple[List[Tuple[RelationEntry, ...]], List[int]]
+
+
 class RelationTable:
     """Fixed 16-slot outgoing-relation storage per node.
 
     Slots hold (relation type, destination cluster, destination local
-    id, weight).  The destination's global id is kept alongside for
-    convenience (it is derivable from cluster+local via the
-    partitioning, exactly as on the hardware).
+    id, weight); weights are rounded to 32-bit floats on entry, as the
+    hardware stores them.  The destination's global id is kept
+    alongside for convenience (it is derivable from cluster+local via
+    the partitioning, exactly as on the hardware).
 
     Runtime MARKER-CREATE bindings may exceed the 16 static slots; they
     spill into a dynamic overflow area (the hardware allocated result
     nodes from a reserved pool — see DESIGN.md).
+
+    Every reader of links goes through :meth:`compiled`: the whole
+    table's logical links, built once and kept until the next
+    :meth:`add`, :meth:`remove` or :meth:`grow` (exactly the mutations
+    that bump :attr:`MachineState.mutation_version`).
     """
 
     def __init__(self, num_nodes: int, cont_relation_id: Optional[int]) -> None:
         self.num_nodes = num_nodes
         self.cont_relation_id = cont_relation_id
-        shape = (num_nodes, MAX_FANOUT)
-        self.relation = np.full(shape, EMPTY_SLOT, dtype=np.int32)
-        self.dest_cluster = np.zeros(shape, dtype=np.int32)
-        self.dest_local = np.zeros(shape, dtype=np.int32)
-        self.dest_global = np.zeros(shape, dtype=np.int32)
-        self.weight = np.zeros(shape, dtype=np.float32)
-        self._fill = np.zeros(num_nodes, dtype=np.int32)
+        #: Static slots per node, as immutable tuples: an unchained
+        #: node's compiled links are its slot tuple itself.
+        self._slots: List[Tuple[RelationEntry, ...]] = [()] * num_nodes
         self._overflow: Dict[int, List[RelationEntry]] = {}
+        #: Locals whose static slots hold a continuation link.
+        self._chained: Set[int] = set()
+        self._compiled: Optional[CompiledLinks] = None
 
     def grow(self, count: int = 1) -> None:
         """Extend capacity for ``count`` more nodes (runtime CREATE)."""
         self.num_nodes += count
-        shape = (count, MAX_FANOUT)
-        self.relation = np.concatenate(
-            [self.relation, np.full(shape, EMPTY_SLOT, dtype=np.int32)]
-        )
-        self.dest_cluster = np.concatenate(
-            [self.dest_cluster, np.zeros(shape, dtype=np.int32)]
-        )
-        self.dest_local = np.concatenate(
-            [self.dest_local, np.zeros(shape, dtype=np.int32)]
-        )
-        self.dest_global = np.concatenate(
-            [self.dest_global, np.zeros(shape, dtype=np.int32)]
-        )
-        self.weight = np.concatenate(
-            [self.weight, np.zeros(shape, dtype=np.float32)]
-        )
-        self._fill = np.concatenate(
-            [self._fill, np.zeros(count, dtype=np.int32)]
-        )
+        self._slots.extend([()] * count)
+        self._compiled = None
 
     def add(self, local: int, entry: RelationEntry) -> None:
         """Install a link in the next free slot (or overflow)."""
-        slot = int(self._fill[local])
-        if slot >= MAX_FANOUT:
+        weight = float(np.float32(entry.weight))
+        if weight != entry.weight:
+            entry = entry._replace(weight=weight)
+        slots = self._slots[local]
+        if len(slots) >= MAX_FANOUT:
             self._overflow.setdefault(local, []).append(entry)
-            return
-        self.relation[local, slot] = entry.relation
-        self.dest_cluster[local, slot] = entry.dest_cluster
-        self.dest_local[local, slot] = entry.dest_local
-        self.dest_global[local, slot] = entry.dest_global
-        self.weight[local, slot] = entry.weight
-        self._fill[local] = slot + 1
+        else:
+            self._slots[local] = slots + (entry,)
+            if entry.relation == self.cont_relation_id:
+                self._chained.add(local)
+        self._compiled = None
 
     def remove(self, local: int, relation: int, dest_global: int) -> bool:
         """Remove the first matching slot; compact remaining slots."""
-        fill = int(self._fill[local])
-        for slot in range(fill):
-            if (
-                self.relation[local, slot] == relation
-                and self.dest_global[local, slot] == dest_global
-            ):
-                # Shift remaining slots down.
-                for s in range(slot, fill - 1):
-                    self.relation[local, s] = self.relation[local, s + 1]
-                    self.dest_cluster[local, s] = self.dest_cluster[local, s + 1]
-                    self.dest_local[local, s] = self.dest_local[local, s + 1]
-                    self.dest_global[local, s] = self.dest_global[local, s + 1]
-                    self.weight[local, s] = self.weight[local, s + 1]
-                self.relation[local, fill - 1] = EMPTY_SLOT
-                self._fill[local] = fill - 1
-                return True
         overflow = self._overflow.get(local, [])
-        for i, entry in enumerate(overflow):
-            if entry.relation == relation and entry.dest_global == dest_global:
-                del overflow[i]
-                return True
+        for area in (self._slots[local], overflow):
+            for i, entry in enumerate(area):
+                if (
+                    entry.relation == relation
+                    and entry.dest_global == dest_global
+                ):
+                    if area is overflow:
+                        del overflow[i]
+                    else:
+                        self._slots[local] = area[:i] + area[i + 1:]
+                    self._compiled = None
+                    return True
         return False
 
     def slots_used(self, local: int) -> int:
         """Relation slots occupied (static + overflow)."""
-        return int(self._fill[local]) + len(self._overflow.get(local, ()))
-
-    @property
-    def has_overflow(self) -> bool:
-        """Whether any node spilled past the 16 static slots."""
-        return bool(self._overflow)
-
-    def fill_counts(self) -> np.ndarray:
-        """Occupied static-slot count per node (read-only view)."""
-        view = self._fill[: self.num_nodes]
-        return view
+        return len(self._slots[local]) + len(self._overflow.get(local, ()))
 
     def entries(self, local: int) -> List[RelationEntry]:
         """Direct slots of one node (no continuation walking)."""
-        out = []
-        for slot in range(int(self._fill[local])):
-            out.append(
-                RelationEntry(
-                    int(self.relation[local, slot]),
-                    int(self.dest_cluster[local, slot]),
-                    int(self.dest_local[local, slot]),
-                    int(self.dest_global[local, slot]),
-                    float(self.weight[local, slot]),
-                )
-            )
-        out.extend(self._overflow.get(local, ()))
-        return out
+        return [*self._slots[local], *self._overflow.get(local, ())]
 
     def links_of(self, local: int) -> Tuple[List[RelationEntry], int]:
         """Logical links of a node, walking continuation chains locally.
@@ -383,6 +347,7 @@ class RelationTable:
         Returns (entries, slots_scanned); scanned slot count feeds the
         MU timing model.  Continuation subnodes always live on the same
         cluster as their parent, so the walk never leaves the table.
+        This is the reference walk :meth:`compiled` caches.
         """
         entries: List[RelationEntry] = []
         scanned = 0
@@ -405,6 +370,29 @@ class RelationTable:
             if nxt is None:
                 return entries, scanned
             current = nxt
+
+    def compiled(self) -> CompiledLinks:
+        """Per-node logical links and scan counts (see :data:`CompiledLinks`).
+
+        A node with neither continuation nor overflow slots shares its
+        slot tuple; only chained or spilled nodes get a walked copy.
+        The returned lists are read-only, valid until the next mutation.
+        """
+        compiled = self._compiled
+        if compiled is None:
+            links: List[Tuple[RelationEntry, ...]] = []
+            scanned: List[int] = []
+            walk = self._chained.union(self._overflow)
+            for local, slots in enumerate(self._slots):
+                if local in walk:
+                    walked, count = self.links_of(local)
+                    links.append(tuple(walked))
+                    scanned.append(count)
+                else:
+                    links.append(slots)
+                    scanned.append(len(slots))
+            compiled = self._compiled = (links, scanned)
+        return compiled
 
 
 @dataclass

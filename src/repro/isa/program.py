@@ -170,6 +170,13 @@ def _parse_value(token: str) -> float:
         raise ProgramError(f"bad numeric operand: {token!r}") from None
 
 
+def _parse_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ProgramError(f"bad integer operand: {token!r}") from None
+
+
 def _split_operands(text: str) -> List[str]:
     """Split on whitespace/commas, keeping rule parentheses intact."""
     out: List[str] = []
@@ -199,6 +206,8 @@ def assemble_line(line: str) -> Optional[Instruction]:
     if not code:
         return None
     parts = _split_operands(code)
+    if not parts:
+        raise ProgramError(f"no opcode on line: {line!r}")
     opcode, ops = parts[0].upper(), parts[1:]
 
     def need(n: int) -> None:
@@ -215,7 +224,7 @@ def assemble_line(line: str) -> Optional[Instruction]:
         return Delete(ops[0], ops[1], ops[2])
     if opcode == "SET-COLOR":
         need(2)
-        return SetColor(ops[0], int(ops[1]))
+        return SetColor(ops[0], _parse_int(ops[1]))
     if opcode == "SEARCH-NODE":
         need(2)
         value = _parse_value(ops[2]) if len(ops) > 2 else 0.0
@@ -227,7 +236,7 @@ def assemble_line(line: str) -> Optional[Instruction]:
     if opcode == "SEARCH-COLOR":
         need(2)
         value = _parse_value(ops[2]) if len(ops) > 2 else 0.0
-        return SearchColor(int(ops[0]), _parse_marker(ops[1]), value)
+        return SearchColor(_parse_int(ops[0]), _parse_marker(ops[1]), value)
     if opcode == "PROPAGATE":
         need(3)
         function = ops[3] if len(ops) > 3 else "identity"
@@ -247,7 +256,7 @@ def assemble_line(line: str) -> Optional[Instruction]:
         return MarkerDelete(_parse_marker(ops[0]), ops[1], ops[2], reverse)
     if opcode == "MARKER-SET-COLOR":
         need(2)
-        return MarkerSetColor(_parse_marker(ops[0]), int(ops[1]))
+        return MarkerSetColor(_parse_marker(ops[0]), _parse_int(ops[1]))
     if opcode == "AND-MARKER":
         need(3)
         function = ops[3] if len(ops) > 3 else "first"

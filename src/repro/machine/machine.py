@@ -30,6 +30,7 @@ from ..isa.program import SnapProgram
 from ..network.graph import SemanticNetwork
 from .config import MachineConfig, snap1_full
 from .icn import HypercubeTopology
+from .perfnet import PerformanceCollector
 from .report import MachineRunReport
 from .simulator import SnapSimulation
 
@@ -90,6 +91,7 @@ class SnapMachine:
         tracer=None,
         metrics=None,
         trace_offset_us: float = 0.0,
+        perf: Optional[PerformanceCollector] = None,
     ) -> MachineRunReport:
         """Execute a program with full timing; returns the run report.
 
@@ -105,6 +107,11 @@ class SnapMachine:
         nested per-query run at the host time it dispatched.  The
         defaults (global :data:`repro.obs.NULL_TRACER`, no registry)
         cost one branch per run.
+
+        ``perf`` attaches a perfnet
+        :class:`~repro.machine.perfnet.PerformanceCollector`: its
+        records land in ``report.perf_records``.  Without one (the
+        default) no monitoring record is made and that list is empty.
         """
         if not isinstance(program, SnapProgram):
             program = SnapProgram(list(program))
@@ -113,6 +120,7 @@ class SnapMachine:
             tracer=tracer, metrics=metrics,
             trace_offset_us=trace_offset_us,
             trace_name=self.trace_name,
+            perf=perf,
         )
         self.last_report = simulation.run(program, budget_us=budget_us)
         return self.last_report

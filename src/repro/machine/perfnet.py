@@ -6,11 +6,12 @@ and 24-bit status word to its serial-port register and resumes
 execution without delay, while a 2 Mb/s serial link shifts the record
 to a central collection board where it is timestamped into a FIFO.
 
-The simulator's instrumentation goes through this module, so every
-measurement in the experiment harness is attributable to a monitoring
-event, exactly as on the hardware.  Link bandwidth is modeled only as
-a reported statistic (the network is independent, so it never perturbs
-simulated execution — which is the point of the design).
+Collection is opt-in, like the tracer: a run records monitoring events
+only when a collector is attached (``SnapMachine.run(program,
+perf=PerformanceCollector())``), so unread records cost nothing.  Link
+bandwidth is modeled only as a reported statistic (the network is
+independent, so it never perturbs simulated execution — which is the
+point of the design).
 """
 
 from __future__ import annotations

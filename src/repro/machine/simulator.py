@@ -15,8 +15,8 @@ full timing:
    hypercube, store-and-forwarding through intermediate CUs;
 5. the **tiered synchronizer** detects propagation termination from
    per-level produced/consumed counts and charges the barrier cost;
-6. the **performance collection network** records every monitoring
-   event for the run report.
+6. the **performance collection network**, when a collector is
+   attached, records every monitoring event for the run report.
 
 Semantics are delegated to :class:`repro.core.state.MachineState` —
 the same primitives the functional engine uses — so the timed machine
@@ -90,6 +90,7 @@ class SnapSimulation:
         metrics=None,
         trace_offset_us: float = 0.0,
         trace_name: str = "machine",
+        perf: Optional[PerformanceCollector] = None,
     ) -> None:
         if state.num_clusters != config.num_clusters:
             raise ValueError(
@@ -129,7 +130,9 @@ class SnapSimulation:
             c for c in self.clusters if not c.failed
         ]
         self.syncer = TieredSynchronizer(config.total_pes)
-        self.perf = PerformanceCollector()
+        # Perfnet is opt-in like the tracer: `self.perf is None` is the
+        # only check the hot paths pay when nobody reads the records.
+        self.perf = perf
         self.report = MachineRunReport(
             num_clusters=config.num_clusters,
             total_pes=config.total_pes,
@@ -239,7 +242,8 @@ class SnapSimulation:
             self._traces[i] for i in sorted(self._traces)
         ]
         self.report.events_processed = self.sim.events_processed
-        self.report.perf_records = list(self.perf.records)
+        if self.perf is not None:
+            self.report.perf_records = list(self.perf.records)
         for cluster in self.clusters:
             summary = cluster.busy_summary()
             summary["mu_servers"] = cluster.num_mus
@@ -526,7 +530,8 @@ class SnapSimulation:
         service = self.timing.t_pcp + self.timing.t_broadcast
         self.report.overheads.broadcast += self.timing.t_broadcast
         self._attribute(instr.category, self.timing.t_broadcast)
-        self.perf.record(self.sim.now, -1, EventCode.INSTR_ISSUE, index)
+        if self.perf is not None:
+            self.perf.record(self.sim.now, -1, EventCode.INSTR_ISSUE, index)
         job = Job(service, on_done=self._broadcast_done, args=(st,))
         if self._tr is not None:
             self._trace_issue(st)
@@ -684,14 +689,14 @@ class SnapSimulation:
         local_out: List[Arrival] = []
         remote_out: List[ActivationMessage] = []
         for seed in seeds:
-            seed_local, seed_remote, seed_work = self.state.expand(ctx, seed)
-            work.merge(seed_work)
+            seed_local, seed_remote = self.state.expand(ctx, seed, work)
             local_out.extend(seed_local)
             remote_out.extend(seed_remote)
         st.work_ops += work.total()
         service = work_service_time(work, self.timing)
         self._attribute(Category.PROPAGATE, service)
-        self.perf.record(self.sim.now, cid, EventCode.TASK_START, st.index)
+        if self.perf is not None:
+            self.perf.record(self.sim.now, cid, EventCode.TASK_START, st.index)
         job = Job(
             service,
             on_done=self._seed_scan_done,
@@ -732,12 +737,11 @@ class SnapSimulation:
         """Deliver a marker at its destination node (one MU task)."""
         ctx = st.ctx
         assert ctx is not None
-        should_expand, work = self.state.deliver(ctx, arrival)
+        work = WorkReport()
         local_out: List[Arrival] = []
         remote_out: List[ActivationMessage] = []
-        if should_expand:
-            local_out, remote_out, expand_work = self.state.expand(ctx, arrival)
-            work.merge(expand_work)
+        if self.state.deliver(ctx, arrival, work):
+            local_out, remote_out = self.state.expand(ctx, arrival, work)
         st.work_ops += work.total()
         st.pending += 1
         pe = self._pe_of_cluster[arrival.cluster]
@@ -851,7 +855,8 @@ class SnapSimulation:
         )
         self.report.overheads.communication += latency
         self._attribute(Category.PROPAGATE, latency)
-        self.perf.record(self.sim.now, src, EventCode.MSG_SEND, st.index)
+        if self.perf is not None:
+            self.perf.record(self.sim.now, src, EventCode.MSG_SEND, st.index)
         if self._tr is not None:
             ts = self._off + self.sim.now
             self._tr.instant(
@@ -947,9 +952,10 @@ class SnapSimulation:
         else:
             target = path[hop_index]
             forwarder = self.clusters[target]
-            self.perf.record(
-                self.sim.now, target, EventCode.MSG_FORWARD, st.index
-            )
+            if self.perf is not None:
+                self.perf.record(
+                    self.sim.now, target, EventCode.MSG_FORWARD, st.index
+                )
             job = Job(
                 self.timing.t_forward,
                 on_done=self._advance_message,
@@ -1073,9 +1079,10 @@ class SnapSimulation:
             st.pending -= 1
             self._check_propagate_done(st)
             return
-        self.perf.record(
-            self.sim.now, msg.dest_cluster, EventCode.MSG_RECV, st.index
-        )
+        if self.perf is not None:
+            self.perf.record(
+                self.sim.now, msg.dest_cluster, EventCode.MSG_RECV, st.index
+            )
         if self._tr is not None:
             self._tr.instant(
                 self._tk_cluster[msg.dest_cluster], "msg-recv",
@@ -1137,7 +1144,8 @@ class SnapSimulation:
 
     def _barrier_done(self, st: _InstrState) -> None:
         self.report.sync_stats.barrier(self.sim.now, st.index)
-        self.perf.record(self.sim.now, -1, EventCode.BARRIER, st.index)
+        if self.perf is not None:
+            self.perf.record(self.sim.now, -1, EventCode.BARRIER, st.index)
         self._complete(st)
 
     # ------------------------------------------------------------------
@@ -1171,7 +1179,8 @@ class SnapSimulation:
         )
         self.report.overheads.collection += service
         self._attribute(Category.COLLECT, service)
-        self.perf.record(self.sim.now, -1, EventCode.COLLECT, st.index)
+        if self.perf is not None:
+            self.perf.record(self.sim.now, -1, EventCode.COLLECT, st.index)
         st.collected.sort(key=lambda item: item[0])
         job = Job(service, on_done=self._complete, args=(st,))
         if self._tr is not None and st.span is not None:
@@ -1199,7 +1208,10 @@ class SnapSimulation:
                 [] if instr.category == Category.COLLECT else None
             ),
         )
-        self.perf.record(self.sim.now, -1, EventCode.INSTR_COMPLETE, st.index)
+        if self.perf is not None:
+            self.perf.record(
+                self.sim.now, -1, EventCode.INSTR_COMPLETE, st.index
+            )
         if self._tr is not None:
             self._trace_complete(st)
         del self._in_flight[st.index]

@@ -10,7 +10,7 @@ from repro.analysis import (
 )
 from repro.isa import assemble
 from repro.machine import MachineConfig, SnapMachine
-from repro.machine.perfnet import EventCode, PerfRecord
+from repro.machine.perfnet import EventCode, PerfRecord, PerformanceCollector
 from repro.machine.report import InstructionTrace
 
 
@@ -71,15 +71,19 @@ class TestOverlapFactor:
 
 
 class TestEndToEnd:
-    def test_render_real_report(self, fig5_kb):
-        machine = SnapMachine(fig5_kb, MachineConfig(4, 2))
-        report = machine.run(assemble("""
+    PROGRAM = """
         SEARCH-NODE w:we m1
         SEARCH-NODE w:saw m2
         PROPAGATE m1 m3 chain(is-a) identity
         PROPAGATE m2 m4 chain(is-a) identity
         COLLECT-NODE m3
-        """))
+        """
+
+    def test_render_real_report(self, fig5_kb):
+        machine = SnapMachine(fig5_kb, MachineConfig(4, 2))
+        report = machine.run(
+            assemble(self.PROGRAM), perf=PerformanceCollector()
+        )
         text = render_report_timeline(report)
         assert "Gantt" in text
         assert "PROPAGATE" in text
@@ -87,3 +91,28 @@ class TestEndToEnd:
         assert "mean in-flight" in text
         # The two independent propagates overlap in real runs.
         assert overlap_factor(report.traces) > 1.0
+
+    def test_render_without_perfnet_notes_missing_records(self, fig5_kb):
+        machine = SnapMachine(fig5_kb, MachineConfig(4, 2))
+        report = machine.run(assemble(self.PROGRAM))
+        assert report.perf_records == []
+        text = render_report_timeline(report)
+        notes = [line for line in text.splitlines()
+                 if line.startswith("cluster activity")]
+        assert notes == [
+            "cluster activity: no perfnet records (run with "
+            "perf=PerformanceCollector() to collect them)"
+        ]
+        assert "mean in-flight" in text
+
+    def test_perfnet_collection_leaves_simulation_unchanged(self, fig5_kb):
+        plain = SnapMachine(fig5_kb, MachineConfig(4, 2)).run(
+            assemble(self.PROGRAM)
+        )
+        collector = PerformanceCollector()
+        watched = SnapMachine(fig5_kb, MachineConfig(4, 2)).run(
+            assemble(self.PROGRAM), perf=collector
+        )
+        assert watched.perf_records == collector.records
+        assert collector.histogram()["instr-issue"] == 5
+        assert watched.to_json() == plain.to_json()

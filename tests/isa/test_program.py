@@ -68,6 +68,22 @@ class TestAssembler:
         with pytest.raises(ProgramError):
             assemble_line("AND-MARKER m1 m2")
 
+    def test_separators_only_line_is_a_program_error(self):
+        # Commas split to no tokens at all: the line has no opcode.
+        with pytest.raises(ProgramError, match="line 1: no opcode"):
+            assemble(", # , SET nan comb CLEAR")
+        with pytest.raises(ProgramError, match="no opcode"):
+            assemble_line(" , ,")
+
+    @pytest.mark.parametrize("line", [
+        "SET-COLOR a red",
+        "SEARCH-COLOR blue m1",
+        "MARKER-SET-COLOR m1 7.5",
+    ])
+    def test_bad_integer_operand(self, line):
+        with pytest.raises(ProgramError, match="bad integer operand"):
+            assemble_line(line)
+
     def test_line_number_in_error(self):
         with pytest.raises(ProgramError, match="line 2"):
             assemble("SET-MARKER m1\nBOGUS op")

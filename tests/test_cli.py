@@ -82,6 +82,32 @@ class TestCli:
         assert code == 0
         assert "breaker_opens" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "nosuch"], "unknown bench lane 'nosuch'; known: "
+                              "propagate, propagate-vec"),
+        (["serve", "--load", "0"], "argument --load: must be finite and > 0"),
+        (["serve", "--load", "inf"], "argument --load: must be finite"),
+        (["serve", "--queries", "-5"], "argument --queries: must be "
+                                       "finite and > 0, got -5"),
+        (["serve", "--queries", "many"], "invalid int value: 'many'"),
+    ])
+    def test_bad_arguments_exit_2_with_usage(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: python -m repro {argv[0]}")
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_bench_module_rejects_unknown_lane(self, capsys):
+        from repro.bench import main as bench_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["propagate", "nosuch"])
+        assert exit_info.value.code == 2
+        assert "unknown bench lane 'nosuch'" in capsys.readouterr().err
+
     def test_bench_command_writes_history(self, tmp_path, capsys):
         out = tmp_path / "perf.json"
         hist = tmp_path / "history.jsonl"
