@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from ..core.backends import PropagationBackend
+from ..core.backends import PropagationBackend, VectorizedBackend, make_backend
 from ..core.state import MachineState
 from ..isa.instructions import Category, Instruction, Propagate
 from ..isa.program import SnapProgram
@@ -104,8 +104,14 @@ class SimdMachine:
     ) -> None:
         self.timing = timing or SimdTiming()
         # Single partition: the SIMD array is one flat address space.
-        self.engine = FunctionalEngine(network, num_clusters=1,
-                                       backend=backend)
+        # Its level-synchronous propagation is what the vectorized
+        # backend computes, one batched array step per level, so that
+        # backend runs unless one was chosen (``backend`` or the CLI's
+        # ``--backend``); answers and timing are the same on either.
+        self.engine = FunctionalEngine(
+            network, num_clusters=1,
+            backend=make_backend(backend, preferred=VectorizedBackend.name),
+        )
 
     @property
     def state(self) -> MachineState:

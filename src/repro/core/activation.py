@@ -57,7 +57,7 @@ def from_bfloat16_bits(bits: int) -> float:
     return float(np.uint32(bits << 16).view(np.float32))
 
 
-@dataclass
+@dataclass(slots=True)
 class ActivationMessage:
     """A marker in flight between clusters (or between waves locally).
 

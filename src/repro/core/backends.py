@@ -297,7 +297,9 @@ class VectorizedBackend(PropagationBackend):
         # -- scatter/gather over the per-cluster tables ------------------
         def per_cluster(flats):
             cl = adj.cluster_of[flats]
-            for cid in np.unique(cl):
+            # Sorted distinct ids via bincount: np.unique would import
+            # numpy.ma (~2 MB resident) on first use.
+            for cid in np.flatnonzero(np.bincount(cl)):
                 sel = cl == cid
                 yield state.clusters[int(cid)], sel, adj.local_of[flats[sel]]
 
@@ -344,7 +346,7 @@ class VectorizedBackend(PropagationBackend):
                 return empty_frontier
             position = np.arange(nodes.size, dtype=np.int64)
             cand = []
-            for sidx in np.unique(sidxs):
+            for sidx in np.flatnonzero(np.bincount(sidxs)):
                 moves = moves_by_sidx[sidx]
                 if not moves:
                     continue  # recorded, but no slots scanned
@@ -577,7 +579,9 @@ BACKENDS: Dict[str, Type[PropagationBackend]] = {
     VectorizedBackend.name: VectorizedBackend,
 }
 
-_default_backend = "python"
+#: Process-wide backend chosen with :func:`set_default_backend`;
+#: ``None`` until a choice is made.
+_default_backend: Optional[str] = None
 
 
 def set_default_backend(name: str) -> None:
@@ -593,15 +597,21 @@ def set_default_backend(name: str) -> None:
 
 def get_default_backend() -> str:
     """Name of the process-wide default backend."""
-    return _default_backend
+    return _default_backend or PythonBackend.name
 
 
 def make_backend(
     backend: Union[None, str, PropagationBackend] = None,
+    preferred: str = PythonBackend.name,
 ) -> PropagationBackend:
-    """Resolve a backend spec (name, instance, or None = default)."""
+    """Resolve a backend spec (name, instance, or None).
+
+    ``None`` resolves to the process-wide backend when one was chosen
+    (:func:`set_default_backend`, the CLI's ``--backend``), and to the
+    caller's ``preferred`` backend otherwise.
+    """
     if backend is None:
-        backend = _default_backend
+        backend = _default_backend or preferred
     if isinstance(backend, str):
         if backend not in BACKENDS:
             raise ValueError(

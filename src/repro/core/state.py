@@ -71,7 +71,7 @@ class ExecutionError(RuntimeError):
     """Raised when an instruction cannot be executed."""
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkReport:
     """Counters of machine work performed by a primitive.
 
@@ -106,7 +106,7 @@ class WorkReport:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Arrival:
     """A marker delivery pending at a cluster (local or remote origin)."""
 
@@ -543,9 +543,10 @@ class MachineState:
                         next_state, dest_cluster, dest_local, origin,
                         level, hops,
                     ))
+        sent = len(remote_out)
         work.fp_ops += fp_ops
-        work.messages += len(remote_out)
-        ctx.remote_messages += len(remote_out)
+        work.messages += sent
+        ctx.remote_messages += sent
         return local_out, remote_out
 
     def deliver(
@@ -564,7 +565,8 @@ class MachineState:
         work.nodes += 1
         work.sets += 1
         ctx.total_arrivals += 1
-        ctx.max_hops = max(ctx.max_hops, arrival.hops)
+        if arrival.hops > ctx.max_hops:
+            ctx.max_hops = arrival.hops
 
         was_clear = tables.status.set(marker2, local)
         complex2 = is_complex(marker2)

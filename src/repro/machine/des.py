@@ -322,7 +322,7 @@ class Timeout:
         return not self._cancelled and not self.expired
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """A unit of work submitted to a server: service time + completion.
 
@@ -354,6 +354,11 @@ class Server:
     microseconds (e.g. a transient SCP/bus timeout penalty).  Left at
     ``None`` — the default — the server's behavior is bit-identical to
     a hook-free build.
+
+    A job submitted to an idle server starts in line: it is counted in
+    ``max_queue`` as the one-deep queue it would briefly have formed,
+    and its completion is scheduled at once, exactly as a queued job
+    is when the server frees.
     """
 
     def __init__(self, sim: Simulator, name: str = "server") -> None:
@@ -386,33 +391,38 @@ class Server:
         return not self._busy and not self._queue
 
     def submit(self, job: Job) -> None:
-        """Enqueue a job; service starts when capacity frees."""
-        self._queue.append(job)
-        if len(self._queue) > self.max_queue:
-            self.max_queue = len(self._queue)
-        if not self._busy:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
+        """Start a job now if the server is idle, else queue it (FIFO)."""
+        if self._busy:
+            queue = self._queue
+            queue.append(job)
+            if len(queue) > self.max_queue:
+                self.max_queue = len(queue)
             return
+        # Idle implies an empty queue (completions drain it first).
+        if not self.max_queue:
+            self.max_queue = 1
+        self._start(job)
+
+    def _start(self, job: Job) -> None:
         self._busy = True
-        job = self._queue.popleft()
-        if job.on_start:
+        if job.on_start is not None:
             job.on_start()
         service = job.service_time
         if self.penalty_hook is not None:
             service += self.penalty_hook(job)
         self.busy_time += service
-        event = self.sim.schedule(service, self._finish_cb, job)
-        self._service_end = event[0]
+        self._service_end = self.sim.schedule(service, self._finish_cb, job)[0]
 
     def _finish(self, job: Job) -> None:
         self.jobs_done += 1
-        if job.on_done:
+        if job.on_done is not None:
             job.on_done(*job.args)
-        self._start_next()
+        # ``on_done`` may have submitted more work: it queued behind
+        # any waiting jobs, since the server counted as busy until now.
+        if self._queue:
+            self._start(self._queue.popleft())
+        else:
+            self._busy = False
 
     def busy_time_until(self, now: float) -> float:
         """Busy time actually *elapsed* by ``now``.
@@ -427,7 +437,11 @@ class Server:
 
 
 class ServerPool:
-    """``k`` identical FIFO servers sharing one queue (the MU pool)."""
+    """``k`` identical FIFO servers sharing one queue (the MU pool).
+
+    Like :class:`Server`, a job submitted while a server is free and
+    nobody waits starts in line.
+    """
 
     def __init__(self, sim: Simulator, servers: int, name: str = "pool") -> None:
         if servers < 1:
@@ -464,30 +478,33 @@ class ServerPool:
         return self._busy == 0 and not self._queue
 
     def submit(self, job: Job) -> None:
-        """Enqueue a job; service starts when capacity frees."""
-        self._queue.append(job)
-        if len(self._queue) > self.max_queue:
-            self.max_queue = len(self._queue)
-        if self._busy < self.num_servers:
-            self._start_next()
-
-    def submit_batch(self, jobs: List[Job]) -> None:
-        """Enqueue a fan-out of jobs in one call.
-
-        Exactly equivalent to submitting each job in order — the queue
-        contents, start order, and event sequence numbers are
-        bit-identical — but the per-job call overhead is paid once per
-        batch, which is how the simulator delivers a PROPAGATE fan-out
-        to a destination cluster as one aggregated submission.
-        """
+        """Start a job now if a server is free and none waits, else
+        queue it (FIFO)."""
         queue = self._queue
-        num_servers = self.num_servers
-        for job in jobs:
+        if queue or self._busy >= self.num_servers:
             queue.append(job)
             if len(queue) > self.max_queue:
                 self.max_queue = len(queue)
-            if self._busy < num_servers:
-                self._start_next()
+            # A completion callback submitting while older jobs wait:
+            # the server it just freed goes to the oldest of them.
+            if self._busy < self.num_servers:
+                self._start(queue.popleft())
+            return
+        if not self.max_queue:
+            self.max_queue = 1
+        self._start(job)
+
+    def submit_batch(self, jobs: List[Job]) -> None:
+        """Submit a fan-out of jobs in order, in one call.
+
+        Exactly equivalent to submitting each job in turn (same queue
+        contents, start order and event sequence numbers); the
+        simulator delivers a PROPAGATE fan-out to a destination
+        cluster as one such aggregated submission.
+        """
+        submit = self.submit
+        for job in jobs:
+            submit(job)
 
     def resize(self, servers: int) -> None:
         """Change pool capacity mid-run (fault-timeline MU loss/restore).
@@ -505,14 +522,11 @@ class ServerPool:
         if servers > self.peak_servers:
             self.peak_servers = servers
         while self._queue and self._busy < self.num_servers:
-            self._start_next()
+            self._start(self._queue.popleft())
 
-    def _start_next(self) -> None:
-        if not self._queue or self._busy >= self.num_servers:
-            return
-        job = self._queue.popleft()
+    def _start(self, job: Job) -> None:
         self._busy += 1
-        if job.on_start:
+        if job.on_start is not None:
             job.on_start()
         service = job.service_time
         if self.penalty_hook is not None:
@@ -525,9 +539,10 @@ class ServerPool:
         self._busy -= 1
         self._service_ends.remove(self.sim.now)
         self.jobs_done += 1
-        if job.on_done:
+        if job.on_done is not None:
             job.on_done(*job.args)
-        self._start_next()
+        if self._queue and self._busy < self.num_servers:
+            self._start(self._queue.popleft())
 
     def busy_time_until(self, now: float) -> float:
         """Busy time actually *elapsed* by ``now`` (see

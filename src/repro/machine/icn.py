@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Digit names in routing order (board-local first, then x, then y).
 DIMENSION_NAMES = ("L", "X", "Y")
@@ -388,6 +388,23 @@ class HypercubeTopology:
         return self.num_digits
 
 
+class Transport(NamedTuple):
+    """How one message travels from a source to a destination cluster.
+
+    A simulation builds one per ``(src, dst)`` pair on first use and
+    every fault-free message of that pair reuses it (a message a
+    faulty network detours gets one for its detour): routing, per-hop
+    memory names and latency are all pure functions of the path.
+    """
+
+    #: Clusters after the source, ending at the destination.
+    path: Tuple[int, ...]
+    #: Memory (L/X/Y/...) each hop of ``path`` travels through.
+    dimensions: Tuple[str, ...]
+    #: End-to-end transfer time (source DMA + wire hops + forwards), µs.
+    latency: float
+
+
 @dataclass
 class IcnStats:
     """Traffic accounting for the interconnection network."""
@@ -415,21 +432,31 @@ class IcnStats:
         """Count one hop through the named L/X/Y memory."""
         self.dimension_counts[name] = self.dimension_counts.get(name, 0) + 1
 
-    def record_message(
-        self, dimensions: Sequence[str], latency: float
-    ) -> None:
+    def record_message(self, transport: Transport) -> None:
         """Account one routed message atomically.
 
-        ``dimensions`` names the memory of every hop of the *actual*
-        path, so per-message hop totals and per-dimension counts are
-        updated from the same source and can never disagree — the
-        reconciliation of the historical split where ``record`` was
-        called per message but ``record_dimension`` per hop.
+        The transport's ``dimensions`` name the memory of every hop of
+        the *actual* path, so per-message hop totals and per-dimension
+        counts are updated from the same source and can never disagree
+        — the reconciliation of the historical split where ``record``
+        was called per message but ``record_dimension`` per hop.
         """
-        self.record(len(dimensions), latency)
+        dimensions = transport.dimensions
+        hops = len(dimensions)
+        self.messages += 1
+        self.total_hops += hops
+        histogram = self.hop_histogram
+        if hops in histogram:
+            histogram[hops] += 1
+        else:
+            histogram[hops] = 1
+        self.total_latency += transport.latency
         counts = self.dimension_counts
         for name in dimensions:
-            counts[name] = counts.get(name, 0) + 1
+            if name in counts:
+                counts[name] += 1
+            else:
+                counts[name] = 1
 
     @property
     def mean_hops(self) -> float:

@@ -267,11 +267,14 @@ class BoundedQueue:
         simulator surfaces that pressure through the overflow count
         rather than by dropping markers.
         """
-        over = len(self._items) >= self.capacity
+        items = self._items
+        occupancy = len(items)
+        over = occupancy >= self.capacity
         if over:
             self.overflows += 1
-        self._items.append(item)
-        self.peak = max(self.peak, len(self._items))
+        items.append(item)
+        if occupancy >= self.peak:
+            self.peak = occupancy + 1
         return not over
 
     def pop(self):

@@ -26,32 +26,91 @@ is functionally identical to the golden model by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.activation import ActivationMessage
-from ..core.state import Arrival, MachineState, PropagationContext, WorkReport
+from ..core.state import (
+    Arrival,
+    ExecutionError,
+    MachineState,
+    PropagationContext,
+    WorkReport,
+)
 from ..isa.instructions import (
+    AndMarker,
     Category,
+    ClearMarker,
     CollectColor,
     CollectMarker,
     CollectNode,
     CollectRelation,
     Create,
     Delete,
+    FuncMarker,
     Instruction,
+    MarkerCreate,
+    MarkerDelete,
+    MarkerSetColor,
+    NotMarker,
+    OrMarker,
     Propagate,
+    SearchColor,
+    SearchNode,
+    SearchRelation,
     SetColor,
+    SetMarker,
 )
 from ..isa.program import SnapProgram
+from ..network.graph import GraphError
 from ..obs.tracer import get_tracer
 from .cluster import ClusterSim, build_clusters, pe_index_of_cluster, work_service_time
 from .config import MachineConfig
-from .des import Job, Simulator, Timeout
+from .des import Job, Server, Simulator, Timeout
 from .faults import FaultInjector
-from .icn import HypercubeTopology
+from .icn import HypercubeTopology, Transport
 from .perfnet import EventCode, PerformanceCollector
 from .report import InstructionTrace, MachineRunReport, OverheadBreakdown
 from .sync import SyncStats, TieredSynchronizer, barrier_cost
+
+
+#: :class:`MachineState` method each cluster runs for an instruction
+#: class, by name: looked up on the state at call time, so class-level
+#: wrappers (profilers, tracing) see every call.
+_CLUSTER_PRIMITIVES: Dict[type, str] = {
+    SearchNode: "search_node",
+    SearchRelation: "search_relation",
+    SearchColor: "search_color",
+    AndMarker: "and_marker",
+    OrMarker: "or_marker",
+    NotMarker: "not_marker",
+    SetMarker: "set_marker",
+    ClearMarker: "clear_marker",
+    FuncMarker: "func_marker",
+    MarkerCreate: "marker_create",
+    MarkerDelete: "marker_delete",
+    MarkerSetColor: "marker_set_color",
+}
+
+#: The same for the COLLECT instructions, whose methods also return
+#: the cluster's collected items.
+_COLLECTORS: Dict[type, str] = {
+    CollectNode: "collect_node",
+    CollectMarker: "collect_marker",
+    CollectRelation: "collect_relation",
+    CollectColor: "collect_color",
+}
+
+
+def _state_method(
+    state: MachineState, table: Dict[type, str], instr: Instruction
+):
+    """Bound ``state`` method that ``table`` names for ``instr``'s class
+    (or its nearest listed base class)."""
+    for cls in type(instr).__mro__:
+        name = table.get(cls)
+        if name is not None:
+            return getattr(state, name)
+    raise RuntimeError(f"no cluster primitive for {instr.opcode}")
 
 
 @dataclass
@@ -138,8 +197,6 @@ class SnapSimulation:
             total_pes=config.total_pes,
         )
         # Controller: PCP + SCP + global bus, serialized.
-        from .des import Server
-
         self.controller = Server(self.sim, name="controller")
         if self.faults is not None and self.faults.cfg.scp_timeout_prob > 0:
             self.controller.penalty_hook = self._scp_penalty
@@ -167,6 +224,24 @@ class SnapSimulation:
             pe_index_of_cluster(config, cid)
             for cid in range(config.num_clusters)
         ]
+        # Per-run invariants of the per-event handlers, resolved once.
+        self._schedule = self.sim.schedule
+        self._produce = self.syncer.produce
+        self._consume = self.syncer.consume
+        self._deliver = state.deliver
+        self._expand = state.expand
+        self._to_arrival = state.message_to_arrival
+        self._t_hop = self.timing.t_hop
+        self._t_forward = self.timing.t_forward
+        #: The report's busy-by-category map.  Per-event handlers add
+        #: to its PROPAGATE entry in place; issuing the PROPAGATE
+        #: (:meth:`_try_issue`) always creates that entry first.
+        self._category_busy = self.report.category_busy_us
+        #: Fault-free transport of each (src, dst) pair, at index
+        #: ``src * num_clusters + dst``; built on first use.
+        self._transports: List[Optional[Transport]] = (
+            [None] * (config.num_clusters * config.num_clusters)
+        )
         # Observability.  `self._tr is None` is the only check hot
         # paths pay when tracing is off (NULL_TRACER default); all
         # track allocation happens here, up front.  `trace_offset_us`
@@ -586,12 +661,15 @@ class SnapSimulation:
             assert isinstance(instr, SetColor)
             work = self.state.set_color(instr)
         st.work_ops += work.total()
-        # The affected node's home cluster performs the table update.
+        # The affected node's home cluster performs the table update.  A
+        # node the tables do not host (added to the network object
+        # directly; only a DELETE of a link it does not have gets this
+        # far) has no home: cluster 0 is charged.
         try:
             home, _ = self.state.address(
                 instr.node if isinstance(instr, SetColor) else instr.source
             )
-        except Exception:
+        except (ExecutionError, GraphError):
             home = 0
         if self.faults is not None and home in self.faults.blocked_clusters:
             # Without node remap a table update may target an offline
@@ -617,7 +695,9 @@ class SnapSimulation:
             self._dispatch_seed_scan(st, cluster)
             return
         if instr.category == Category.COLLECT:
-            items, work = self._run_collector(cid, instr)
+            items, work = _state_method(self.state, _COLLECTORS, instr)(
+                cid, instr
+            )
             st.work_ops += work.total()
             service = work_service_time(work, self.timing)
             self._attribute(instr.category, service)
@@ -630,7 +710,7 @@ class SnapSimulation:
                 job = self._traced_mu_job(cid, job)
             cluster.mus.submit(job)
             return
-        work = self._run_cluster_primitive(cid, instr)
+        work = _state_method(self.state, _CLUSTER_PRIMITIVES, instr)(cid, instr)
         st.work_ops += work.total()
         service = work_service_time(work, self.timing)
         self._attribute(instr.category, service)
@@ -638,44 +718,6 @@ class SnapSimulation:
         if self._tr is not None:
             job = self._traced_mu_job(cid, job)
         cluster.mus.submit(job)
-
-    def _run_collector(self, cid: int, instr: Instruction):
-        state = self.state
-        if isinstance(instr, CollectNode):
-            return state.collect_node(cid, instr)
-        if isinstance(instr, CollectMarker):
-            return state.collect_marker(cid, instr)
-        if isinstance(instr, CollectRelation):
-            return state.collect_relation(cid, instr)
-        assert isinstance(instr, CollectColor)
-        return state.collect_color(cid, instr)
-
-    def _run_cluster_primitive(self, cid: int, instr: Instruction) -> WorkReport:
-        from ..isa.instructions import (
-            AndMarker, ClearMarker, FuncMarker, MarkerCreate, MarkerDelete,
-            MarkerSetColor, NotMarker, OrMarker, SearchColor, SearchNode,
-            SearchRelation, SetMarker,
-        )
-
-        state = self.state
-        dispatch = [
-            (SearchNode, state.search_node),
-            (SearchRelation, state.search_relation),
-            (SearchColor, state.search_color),
-            (AndMarker, state.and_marker),
-            (OrMarker, state.or_marker),
-            (NotMarker, state.not_marker),
-            (SetMarker, state.set_marker),
-            (ClearMarker, state.clear_marker),
-            (FuncMarker, state.func_marker),
-            (MarkerCreate, state.marker_create),
-            (MarkerDelete, state.marker_delete),
-            (MarkerSetColor, state.marker_set_color),
-        ]
-        for cls, primitive in dispatch:
-            if isinstance(instr, cls):
-                return primitive(cid, instr)
-        raise RuntimeError(f"no cluster primitive for {instr.opcode}")
 
     # ------------------------------------------------------------------
     # Propagation
@@ -718,48 +760,35 @@ class SnapSimulation:
         local_out: List[Arrival],
         remote_out: List[ActivationMessage],
     ) -> None:
-        self._release_outputs(st, cid, local_out, remote_out)
-        self._cluster_task_done(st)
-
-    def _release_outputs(
-        self,
-        st: _InstrState,
-        cid: int,
-        local_out: List[Arrival],
-        remote_out: List[ActivationMessage],
-    ) -> None:
         if local_out:
             self._spawn_arrival_batch(st, local_out)
         for msg in remote_out:
             self._send_message(st, cid, msg)
+        self._cluster_task_done(st)
 
     def _prepare_arrival(self, st: _InstrState, arrival: Arrival) -> Job:
         """Deliver a marker at its destination node (one MU task)."""
         ctx = st.ctx
-        assert ctx is not None
         work = WorkReport()
-        local_out: List[Arrival] = []
-        remote_out: List[ActivationMessage] = []
-        if self.state.deliver(ctx, arrival, work):
-            local_out, remote_out = self.state.expand(ctx, arrival, work)
+        if self._deliver(ctx, arrival, work):
+            local_out, remote_out = self._expand(ctx, arrival, work)
+        else:
+            local_out = remote_out = ()
         st.work_ops += work.total()
         st.pending += 1
-        pe = self._pe_of_cluster[arrival.cluster]
-        self.syncer.produce(pe, st.index)
+        cid = arrival.cluster
+        pe = self._pe_of_cluster[cid]
+        self._produce(pe, st.index)
         service = work_service_time(work, self.timing)
-        self._attribute(Category.PROPAGATE, service)
+        self._category_busy[Category.PROPAGATE] += service
         job = Job(
             service,
             on_done=self._arrival_done,
-            args=(st, arrival.cluster, pe, local_out, remote_out),
+            args=(st, cid, pe, local_out, remote_out),
         )
         if self._tr is not None:
-            job = self._traced_mu_job(arrival.cluster, job)
+            job = self._traced_mu_job(cid, job)
         return job
-
-    def _spawn_arrival_job(self, st: _InstrState, arrival: Arrival) -> None:
-        job = self._prepare_arrival(st, arrival)
-        self.clusters[arrival.cluster].mus.submit(job)
 
     def _spawn_arrival_batch(
         self, st: _InstrState, arrivals: List[Arrival]
@@ -792,10 +821,14 @@ class SnapSimulation:
         local_out: List[Arrival],
         remote_out: List[ActivationMessage],
     ) -> None:
-        self._release_outputs(st, cid, local_out, remote_out)
-        self.syncer.consume(pe, st.index)
+        if local_out:
+            self._spawn_arrival_batch(st, local_out)
+        for msg in remote_out:
+            self._send_message(st, cid, msg)
+        self._consume(pe, st.index)
         st.pending -= 1
-        self._check_propagate_done(st)
+        if not st.pending:
+            self._check_propagate_done(st)
 
     def _send_message(
         self, st: _InstrState, src: int, msg: ActivationMessage
@@ -808,12 +841,14 @@ class SnapSimulation:
 
             raw = msg.pack([msg.rule])
             msg = unpack(raw, [msg.rule], level=msg.level, hops=msg.hops)
-        if self.faults is None:
-            path = self.topology.route(src, msg.dest_cluster)
-        else:
+        dest = msg.dest_cluster
+        transport = self._transports[src * self.cfg.num_clusters + dest]
+        if transport is None:
+            transport = self._fault_free_transport(src, dest)
+        if self.faults is not None:
             path = self.topology.route_avoiding(
                 src,
-                msg.dest_cluster,
+                dest,
                 blocked_clusters=self.faults.blocked_clusters,
                 blocked_links=self.faults.blocked_links,
             )
@@ -825,43 +860,39 @@ class SnapSimulation:
                     self._tr.instant(
                         self._tk_faults, "msg-unreachable",
                         self._off + self.sim.now,
-                        src=src, dest=msg.dest_cluster,
+                        src=src, dest=dest,
                     )
                 return
-            if path != self.topology.route(src, msg.dest_cluster):
+            path = tuple(path)
+            if path != transport.path:
                 self.faults.stats.messages_rerouted += 1
                 if self._tr is not None:
                     self._tr.instant(
                         self._tk_faults, "msg-rerouted",
                         self._off + self.sim.now,
-                        src=src, dest=msg.dest_cluster, hops=len(path),
+                        src=src, dest=dest, hops=len(path),
                     )
+                transport = self._make_transport(src, path)
         st.pending += 1
         st.messages += 1
         pe = self._pe_of_cluster[src]
-        self.syncer.produce(pe, st.index)
-        self.report.sync_stats.count_message()
-        hops = len(path)
-        latency = (
-            self.timing.t_cu_dma
-            + hops * self.timing.t_hop
-            + max(0, hops - 1) * self.timing.t_forward
-        )
+        self._produce(pe, st.index)
+        report = self.report
+        report.sync_stats.count_message()
+        path, _dimensions, latency = transport
         # One atomic stats update per message: the hop count and the
-        # per-dimension counts come from the same (cached) path, so
+        # per-dimension counts come from the same transport record, so
         # they can never disagree.
-        self.report.icn_stats.record_message(
-            self.topology.path_dimensions(src, path), latency
-        )
-        self.report.overheads.communication += latency
-        self._attribute(Category.PROPAGATE, latency)
+        report.icn_stats.record_message(transport)
+        report.overheads.communication += latency
+        self._category_busy[Category.PROPAGATE] += latency
         if self.perf is not None:
             self.perf.record(self.sim.now, src, EventCode.MSG_SEND, st.index)
         if self._tr is not None:
             ts = self._off + self.sim.now
             self._tr.instant(
                 self._tk_cluster[src], "msg-send", ts,
-                dest=msg.dest_cluster, hops=hops, instr=st.index,
+                dest=dest, hops=len(path), instr=st.index,
                 latency_us=latency,
             )
             self._tr.counter(
@@ -889,36 +920,61 @@ class SnapSimulation:
             )
         source_cluster.cu.submit(job)
 
+    def _fault_free_transport(self, src: int, dest: int) -> Transport:
+        """Build (once per run) and cache the fault-free (src, dest) route."""
+        transport = self._make_transport(
+            src, tuple(self.topology.route(src, dest))
+        )
+        self._transports[src * self.cfg.num_clusters + dest] = transport
+        return transport
+
+    def _make_transport(self, src: int, path: Tuple[int, ...]) -> Transport:
+        """Transfer record of one path: CU DMA, then per hop a wire
+        transfer, with a store-and-forward at every intermediate CU."""
+        timing = self.timing
+        hops = len(path)
+        latency = (
+            timing.t_cu_dma
+            + hops * timing.t_hop
+            + max(0, hops - 1) * timing.t_forward
+        )
+        return Transport(
+            path, self.topology.path_dimensions(src, path), latency
+        )
+
     def _launch_message(
         self,
         st: _InstrState,
         producer_pe: int,
         msg: ActivationMessage,
-        path: List[int],
+        path: Tuple[int, ...],
         rec: Optional[Dict[str, Any]],
         source_cluster: ClusterSim,
     ) -> None:
         """Source CU DMA done: the message leaves the activation memory."""
         source_cluster.activation_queue.pop()
-        self._advance_message(st, producer_pe, msg, path, 0, rec)
+        if not path:
+            # Destination is the source cluster (can happen only when a
+            # packed message round-trips); deliver directly.
+            self._deliver_message(st, producer_pe, msg)
+            return
+        self._schedule(
+            self._t_hop, self._after_wire, st, producer_pe, msg, path, 0, rec,
+        )
 
     def _advance_message(
         self,
         st: _InstrState,
         producer_pe: int,
         msg: ActivationMessage,
-        path: List[int],
+        path: Tuple[int, ...],
         hop_index: int,
         rec: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """One wire hop; store-and-forward at intermediate CUs."""
-        if not path:
-            # Destination is the source cluster (can happen only when a
-            # packed message round-trips); deliver directly.
-            self._deliver_message(st, producer_pe, msg)
-            return
-        self.sim.schedule(
-            self.timing.t_hop,
+        """Put hop ``hop_index`` of a non-empty path on the wire
+        (after a store-and-forward or a retry backoff)."""
+        self._schedule(
+            self._t_hop,
             self._after_wire, st, producer_pe, msg, path, hop_index, rec,
         )
 
@@ -927,7 +983,7 @@ class SnapSimulation:
         st: _InstrState,
         producer_pe: int,
         msg: ActivationMessage,
-        path: List[int],
+        path: Tuple[int, ...],
         hop_index: int,
         rec: Optional[Dict[str, Any]],
     ) -> None:
@@ -957,7 +1013,7 @@ class SnapSimulation:
                     self.sim.now, target, EventCode.MSG_FORWARD, st.index
                 )
             job = Job(
-                self.timing.t_forward,
+                self._t_forward,
                 on_done=self._advance_message,
                 args=(st, producer_pe, msg, path, hop_index + 1, rec),
             )
@@ -972,7 +1028,7 @@ class SnapSimulation:
         st: _InstrState,
         producer_pe: int,
         msg: ActivationMessage,
-        path: List[int],
+        path: Tuple[int, ...],
         hop_index: int,
         rec: Dict[str, Any],
     ) -> None:
@@ -1088,11 +1144,13 @@ class SnapSimulation:
                 self._tk_cluster[msg.dest_cluster], "msg-recv",
                 self._off + self.sim.now, instr=st.index, hops=msg.hops,
             )
-        arrival = self.state.message_to_arrival(msg)
-        self._spawn_arrival_job(st, arrival)
-        self.syncer.consume(producer_pe, st.index)
+        arrival = self._to_arrival(msg)
+        job = self._prepare_arrival(st, arrival)
+        self.clusters[arrival.cluster].mus.submit(job)
+        self._consume(producer_pe, st.index)
+        # The arrival task just spawned keeps the level pending, so the
+        # barrier cannot be due yet.
         st.pending -= 1
-        self._check_propagate_done(st)
 
     def _check_propagate_done(self, st: _InstrState) -> None:
         if st.completed or not st.scan_done or st.pending > 0:

@@ -10,15 +10,16 @@ level completes when the global sum is zero while all PEs are idle.
 Tiering (one counter per overlapped propagation level) prevents false
 detection when several PROPAGATE instructions are in flight.
 
-:class:`TieredSynchronizer` implements the protocol exactly (per-PE,
-per-level counters); :class:`SyncStats` records the message count at
-each barrier, which is the data series of Fig. 8.
+:class:`TieredSynchronizer` implements the protocol's reports and its
+barrier condition, keeping each level's global balance as a running
+sum; :class:`SyncStats` records the message count at each barrier,
+which is the data series of Fig. 8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class SyncError(RuntimeError):
@@ -26,40 +27,47 @@ class SyncError(RuntimeError):
 
 
 class TieredSynchronizer:
-    """Per-PE, per-level produced/consumed counters + AND-tree idle."""
+    """Per-level produced/consumed balances + AND-tree idle.
+
+    Each report touches one counter: the reporting PE's creations or
+    terminations are added to its level's running balance, so
+    :meth:`produce`, :meth:`consume` and :meth:`level_balance` are
+    O(1) however many PEs the machine has.  The balance of a level is
+    the global sum of the per-PE counters the hardware keeps; only
+    that sum decides a barrier, so only the sum is stored.
+    """
 
     def __init__(self, num_pes: int) -> None:
         self.num_pes = num_pes
-        #: counters[level][pe] = creations - terminations reported.
-        self._counters: Dict[int, List[int]] = {}
+        #: balance[level] = creations - terminations reported, all PEs.
+        self._balance: Dict[int, int] = {}
         self._idle: List[bool] = [True] * num_pes
-        self.max_level_seen = -1
 
     # -- PE-side reporting ------------------------------------------------
-    def _check_pe(self, pe: int, level: int) -> None:
+    def produce(self, pe: int, level: int, count: int = 1) -> None:
+        """PE reports ``count`` process creations at a level."""
         if not 0 <= pe < self.num_pes:
             raise SyncError(
                 f"pe {pe} out of range [0, {self.num_pes}) at level {level}"
             )
-
-    def produce(self, pe: int, level: int, count: int = 1) -> None:
-        """PE reports ``count`` process creations at a level."""
-        self._check_pe(pe, level)
-        counters = self._counters.setdefault(level, [0] * self.num_pes)
-        counters[pe] += count
-        self.max_level_seen = max(self.max_level_seen, level)
+        balance = self._balance
+        balance[level] = balance.get(level, 0) + count
 
     def consume(self, pe: int, level: int, count: int = 1) -> None:
         """PE reports ``count`` process terminations at a level."""
-        self._check_pe(pe, level)
-        counters = self._counters.setdefault(level, [0] * self.num_pes)
+        if not 0 <= pe < self.num_pes:
+            raise SyncError(
+                f"pe {pe} out of range [0, {self.num_pes}) at level {level}"
+            )
+        balance = self._balance
+        left = balance.get(level, 0) - count
         # Validate before mutating: a rejected over-consumption must
         # not leave the level balance negative.
-        if sum(counters) - count < 0:
+        if left < 0:
             raise SyncError(
                 f"pe {pe}, level {level}: more terminations than creations"
             )
-        counters[pe] -= count
+        balance[level] = left
 
     def set_idle(self, pe: int, idle: bool) -> None:
         """Drive one input of the AND-tree (GP I/O idle line)."""
@@ -73,7 +81,7 @@ class TieredSynchronizer:
 
     def level_balance(self, level: int) -> int:
         """Global sum of a level's counters (0 = no markers in transit)."""
-        return sum(self._counters.get(level, ()))
+        return self._balance.get(level, 0)
 
     def level_complete(self, level: int) -> bool:
         """Barrier condition for one level: idle AND balanced."""
@@ -81,23 +89,19 @@ class TieredSynchronizer:
 
     def all_complete(self) -> bool:
         """Every level balanced and all PEs idle."""
-        return self.sigi and all(
-            sum(counters) == 0 for counters in self._counters.values()
-        )
+        return self.sigi and not any(self._balance.values())
 
     def active_levels(self) -> List[int]:
         """Levels with markers still in transit."""
         return sorted(
-            level
-            for level, counters in self._counters.items()
-            if sum(counters) != 0
+            level for level, balance in self._balance.items() if balance
         )
 
     def reset_level(self, level: int) -> None:
         """Retire a completed level's counters."""
-        if level in self._counters and sum(self._counters[level]) != 0:
+        if self._balance.get(level, 0) != 0:
             raise SyncError(f"reset of unbalanced level {level}")
-        self._counters.pop(level, None)
+        self._balance.pop(level, None)
 
 
 def barrier_cost(num_pes: int, t_sync_base: float, t_sync_per_pe: float) -> float:

@@ -80,3 +80,52 @@ class TestSimdSemantics:
             "SEARCH-NODE a0 m1 0.0\nPROPAGATE m1 m2 chain(r) add-weight"
         ))
         assert report.total_steps() == 5
+
+
+class TestSimdBackend:
+    """The CM-2 baseline runs on the vectorized backend unless a
+    backend is chosen; either backend gives the same answers and time."""
+
+    @pytest.fixture
+    def no_process_choice(self, monkeypatch):
+        import repro.core.backends as backends
+
+        monkeypatch.setattr(backends, "_default_backend", None)
+
+    def test_vectorized_by_default(self, no_process_choice, chain_kb):
+        assert SimdMachine(chain_kb).engine.backend_name == "vectorized"
+
+    def test_explicit_backend_wins(self, no_process_choice, chain_kb):
+        simd = SimdMachine(chain_kb, backend="python")
+        assert simd.engine.backend_name == "python"
+
+    def test_process_wide_choice_wins(self, no_process_choice, chain_kb):
+        from repro.core import set_default_backend
+
+        set_default_backend("python")
+        assert SimdMachine(chain_kb).engine.backend_name == "python"
+
+    @pytest.mark.parametrize("size,branching", [(85, 3), (400, 4), (800, 5)])
+    def test_backends_agree_bit_for_bit(self, size, branching):
+        from repro.apps.inheritance import (
+            inheritance_program,
+            property_lookup_program,
+        )
+
+        for program in (
+            inheritance_program(num_properties=2),
+            property_lookup_program(f"c{size // 2}", "attr1"),
+        ):
+            reports = [
+                SimdMachine(
+                    generate_hierarchy_kb(size, branching=branching),
+                    backend=backend,
+                ).run(program)
+                for backend in ("python", "vectorized")
+            ]
+            python, vectorized = reports
+            assert vectorized.results() == python.results()
+            assert vectorized.total_time_us == python.total_time_us
+            assert [t.steps for t in vectorized.traces] == [
+                t.steps for t in python.traces
+            ]

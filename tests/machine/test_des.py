@@ -1,6 +1,10 @@
 """Discrete-event kernel: ordering, servers, pools."""
 
+import random
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.machine import (
     Job,
@@ -383,3 +387,166 @@ class TestStress:
         assert pool.idle and server.idle
         # Busy time conservation: jobs_done matches completions.
         assert pool.jobs_done + server.jobs_done == done["count"]
+
+
+class _QueuedServer:
+    """Reference: the single server as it was before in-line starts.
+    Every job passes through the queue (append, then pop on start) and
+    a completion callback's submissions wait until it returns."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._queue = deque()
+        self._busy = False
+        self.busy_time = 0.0
+        self.jobs_done = 0
+        self.max_queue = 0
+        self.penalty_hook = None
+        self._service_end = 0.0
+
+    def submit(self, job):
+        self._queue.append(job)
+        self.max_queue = max(self.max_queue, len(self._queue))
+        if not self._busy:
+            self._start_next()
+
+    def _start_next(self):
+        if not self._queue:
+            self._busy = False
+            return
+        self._busy = True
+        job = self._queue.popleft()
+        if job.on_start:
+            job.on_start()
+        service = job.service_time
+        if self.penalty_hook is not None:
+            service += self.penalty_hook(job)
+        self.busy_time += service
+        self._service_end = self.sim.schedule(service, self._finish, job)[0]
+
+    def _finish(self, job):
+        self.jobs_done += 1
+        if job.on_done:
+            job.on_done(*job.args)
+        self._start_next()
+
+    def busy_time_until(self, now):
+        if self._busy and self._service_end > now:
+            return self.busy_time - (self._service_end - now)
+        return self.busy_time
+
+
+class _QueuedPool:
+    """Reference: the server pool as it was before in-line starts.
+    A completion frees its server before the callback runs."""
+
+    def __init__(self, sim, servers):
+        self.sim = sim
+        self.num_servers = servers
+        self._queue = deque()
+        self._busy = 0
+        self.busy_time = 0.0
+        self.jobs_done = 0
+        self.max_queue = 0
+        self.penalty_hook = None
+        self._service_ends = []
+
+    def submit(self, job):
+        self._queue.append(job)
+        self.max_queue = max(self.max_queue, len(self._queue))
+        if self._busy < self.num_servers:
+            self._start_next()
+
+    def _start_next(self):
+        if not self._queue or self._busy >= self.num_servers:
+            return
+        job = self._queue.popleft()
+        self._busy += 1
+        if job.on_start:
+            job.on_start()
+        service = job.service_time
+        if self.penalty_hook is not None:
+            service += self.penalty_hook(job)
+        self.busy_time += service
+        event = self.sim.schedule(service, self._finish, job)
+        self._service_ends.append(event[0])
+
+    def _finish(self, job):
+        self._busy -= 1
+        self._service_ends.remove(self.sim.now)
+        self.jobs_done += 1
+        if job.on_done:
+            job.on_done(*job.args)
+        self._start_next()
+
+    def busy_time_until(self, now):
+        total = self.busy_time
+        for end in self._service_ends:
+            if end > now:
+                total -= end - now
+        return total
+
+
+def _drive(server_cls, pool_cls, seed, with_hook):
+    """Run one seeded job graph on a single server and a 2-server pool;
+    return everything observable about it."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    units = [server_cls(sim), pool_cls(sim, 2)]
+    if with_hook:
+        for unit in units:
+            unit.penalty_hook = lambda job: 0.5 if job.tag % 3 == 0 else 0.0
+    log = []
+    labels = iter(range(10**6))
+
+    def submit(depth):
+        tag = next(labels)
+        unit = rng.randrange(2)
+        job = Job(
+            rng.choice((0.0, 0.5, 1.0, 1.0, 2.0)),
+            on_start=lambda: log.append(("start", sim.now, tag)),
+            on_done=done, tag=tag, args=(tag, depth),
+        )
+        units[unit].submit(job)
+
+    def done(tag, depth):
+        log.append(("done", sim.now, tag))
+        for _ in range(rng.randrange(3) if depth else 0):
+            submit(depth - 1)
+
+    for _ in range(12):
+        sim.schedule(rng.choice((0.0, 0.0, 1.0, 1.5)), submit, 3)
+    sim.run(until=3.0)
+    midway = [unit.busy_time_until(sim.now) for unit in units]
+    sim.run()
+    return log, midway, [
+        (unit.busy_time, unit.max_queue, unit.jobs_done,
+         unit.busy_time_until(sim.now))
+        for unit in units
+    ]
+
+
+class TestInlineStartMatchesQueuedPath:
+    @given(seed=st.integers(0, 10**6), with_hook=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_firing_order_and_accounting(self, seed, with_hook):
+        """Starting a job in line on a free server fires the same
+        events in the same (time, seq) order, with the same busy time,
+        queue peak, job count and elapsed busy time, as queueing it
+        and popping it straight back."""
+        assert _drive(Server, ServerPool, seed, with_hook) == _drive(
+            _QueuedServer, _QueuedPool, seed, with_hook
+        )
+
+    def test_lone_job_counts_a_one_deep_queue(self):
+        """A job that never waits still passed through a one-deep queue
+        on the queued path, so ``max_queue`` reads 1, not 0."""
+        for unit in (Server, _QueuedServer, lambda sim: ServerPool(sim, 2),
+                     lambda sim: _QueuedPool(sim, 2)):
+            sim = Simulator()
+            server = unit(sim)
+            server.submit(Job(1.0))
+            sim.run()
+            server.submit(Job(1.0))
+            sim.run()
+            assert (server.max_queue, server.jobs_done) == (1, 2)

@@ -71,3 +71,25 @@ class TestTimedMaintenance:
             Create("m-a", "r", 0.0, "m-b"),
         ]))
         assert report.category_busy_us.get("maintenance", 0) > 0
+
+
+class TestUnhostedNode:
+    """A node added to the network object directly is not in any
+    cluster's tables, so it has no home cluster to charge."""
+
+    def test_delete_of_absent_link_is_charged_to_cluster_zero(self, machine):
+        machine.state.network.add_node("stray")
+        report = machine.run(SnapProgram([
+            Delete("stray", "is-a", "animate"),
+        ]))
+        assert not report.aborted
+        mu_jobs = [busy["mu_jobs"] for busy in report.cluster_busy]
+        assert mu_jobs == [1, 0, 0, 0]
+
+    def test_other_lookup_failures_propagate(self, machine, monkeypatch):
+        def broken_address(ref):
+            raise KeyError(ref)
+
+        monkeypatch.setattr(machine.state, "address", broken_address)
+        with pytest.raises(KeyError):
+            machine.run(SnapProgram([Create("m-a", "r", 0.0, "m-b")]))

@@ -115,3 +115,75 @@ class TestErrorMessages:
         assert f"pe {pe}" in message
         assert f"level {level}" in message
         assert f"[0, {NUM_PES})" in message
+
+
+class _SumOverPes:
+    """Reference model: the per-PE, per-level counters the hardware
+    keeps, with every barrier decision taken from their sum."""
+
+    def __init__(self, num_pes):
+        self.num_pes = num_pes
+        self.counters = {}
+
+    def balance(self, level):
+        return sum(self.counters.get(level, ()))
+
+    def apply(self, op, pe, level, count):
+        """Apply one report; returns False where the protocol must
+        reject it (and leaves the counters untouched)."""
+        if op == "reset":
+            if self.balance(level) != 0:
+                return False
+            self.counters.pop(level, None)
+            return True
+        if not 0 <= pe < self.num_pes:
+            return False
+        if op == "consume" and self.balance(level) - count < 0:
+            return False
+        row = self.counters.setdefault(level, [0] * self.num_pes)
+        row[pe] += count if op == "produce" else -count
+        return True
+
+
+def _report(sync, op, pe, level, count):
+    if op == "reset":
+        sync.reset_level(level)
+    else:
+        getattr(sync, op)(pe, level, count)
+
+
+class TestRunningBalanceMatchesSumOverPes:
+    @given(ops=st.lists(
+        st.tuples(
+            st.sampled_from(("produce", "consume", "reset")),
+            st.integers(-1, NUM_PES),
+            st.integers(0, NUM_LEVELS - 1),
+            st.integers(1, 3),
+        ),
+        max_size=120,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_reference_after_every_report(self, ops):
+        """Over random produce/consume/reset sequences the O(1) running
+        balance reports exactly what summing per-PE counters would, and
+        a rejected report raises and changes nothing."""
+        sync = TieredSynchronizer(num_pes=NUM_PES)
+        model = _SumOverPes(NUM_PES)
+        for op, pe, level, count in ops:
+            accepted = model.apply(op, pe, level, count)
+            before = [sync.level_balance(lv) for lv in range(NUM_LEVELS)]
+            if accepted:
+                _report(sync, op, pe, level, count)
+            else:
+                with pytest.raises(SyncError):
+                    _report(sync, op, pe, level, count)
+                after = [sync.level_balance(lv) for lv in range(NUM_LEVELS)]
+                assert after == before
+            for lv in range(NUM_LEVELS):
+                assert sync.level_balance(lv) == model.balance(lv)
+            assert sync.active_levels() == sorted(
+                lv for lv in model.counters if model.balance(lv) != 0
+            )
+            assert sync.all_complete() == all(
+                model.balance(lv) == 0 for lv in model.counters
+            )
