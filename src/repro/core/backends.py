@@ -128,18 +128,21 @@ class _Adjacency:
 
     Local ids are renumbered into one flat space (cluster-major, so
     flat order equals the golden model's seed-scan order); the edges
-    are :meth:`RelationTable.compiled`'s links, already walked.
+    are :meth:`RelationTable.compiled`'s links, already walked.  Index
+    columns are int32; on a one-cluster machine, where the flat id is
+    the local id and no edge is remote, the cluster columns are
+    ``None``.
     """
 
     offsets: np.ndarray            # (C+1,) cluster id -> flat base
     n_total: int
-    cluster_of: np.ndarray         # (N,) flat -> cluster id
-    local_of: np.ndarray           # (N,) flat -> local id
+    cluster_of: Optional[np.ndarray]  # (N,) flat -> cluster id
+    local_of: Optional[np.ndarray]    # (N,) flat -> local id
     to_global: np.ndarray          # (N,) flat -> global node id
     indptr: np.ndarray             # (N+1,) CSR row pointers
     edge_rel: np.ndarray           # relation id per edge
     edge_dest: np.ndarray          # flat destination per edge
-    edge_dest_cluster: np.ndarray  # destination cluster per edge
+    edge_dest_cluster: Optional[np.ndarray]  # destination cluster per edge
     edge_weight: np.ndarray        # float64 weight per edge
     scanned: np.ndarray            # (N,) slots an MU scans per node
 
@@ -149,13 +152,12 @@ class _Adjacency:
         sizes = [t.num_nodes for t in state.clusters]
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        cluster_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
         links, scanned = [], []
         for t in state.clusters:
             node_links, node_scanned = t.relations.compiled()
             links.extend(node_links)
             scanned.extend(node_scanned)
-        indptr = np.zeros(len(links) + 1, dtype=np.int64)
+        indptr = np.zeros(len(links) + 1, dtype=np.int32)
         np.cumsum([len(node) for node in links], out=indptr[1:])
         # Columns follow RelationEntry; every id and every float32
         # weight is exact in float64.
@@ -163,23 +165,35 @@ class _Adjacency:
             chain.from_iterable(chain.from_iterable(links)),
             dtype=np.float64, count=5 * int(indptr[-1]),
         ).reshape(-1, 5)
-        dest_cluster = edges[:, 1].astype(np.int64)
+        if len(sizes) == 1:
+            cluster_of = local_of = dest_cluster = None
+            edge_dest = edges[:, 2].astype(np.int32)
+        else:
+            cluster_of = np.repeat(
+                np.arange(len(sizes), dtype=np.int32), sizes
+            )
+            local_of = (
+                np.arange(len(links), dtype=np.int64) - offsets[cluster_of]
+            ).astype(np.int32)
+            dest_cluster = edges[:, 1].astype(np.int32)
+            edge_dest = (
+                offsets[dest_cluster] + edges[:, 2].astype(np.int64)
+            ).astype(np.int32)
         return cls(
             offsets=offsets,
             n_total=len(links),
             cluster_of=cluster_of,
-            local_of=np.arange(len(links), dtype=np.int64)
-            - offsets[cluster_of],
+            local_of=local_of,
             to_global=np.array(
                 [g for t in state.clusters for g in t.to_global],
-                dtype=np.int64,
+                dtype=np.int32,
             ),
             indptr=indptr,
-            edge_rel=edges[:, 0].astype(np.int64),
-            edge_dest=offsets[dest_cluster] + edges[:, 2].astype(np.int64),
+            edge_rel=edges[:, 0].astype(np.int32),
+            edge_dest=edge_dest,
             edge_dest_cluster=dest_cluster,
             edge_weight=edges[:, 4].copy(),
-            scanned=np.array(scanned, dtype=np.int64),
+            scanned=np.array(scanned, dtype=np.int32),
         )
 
 
@@ -296,6 +310,9 @@ class VectorizedBackend(PropagationBackend):
 
         # -- scatter/gather over the per-cluster tables ------------------
         def per_cluster(flats):
+            if adj.cluster_of is None:
+                yield state.clusters[0], slice(None), flats
+                return
             cl = adj.cluster_of[flats]
             # Sorted distinct ids via bincount: np.unique would import
             # numpy.ma (~2 MB resident) on first use.
@@ -324,14 +341,17 @@ class VectorizedBackend(PropagationBackend):
                 t.node_table.value[lids, m2] = values[sel]
                 t.node_table.origin[lids, m2] = origins[sel]
 
+        def address(flat):
+            if adj.cluster_of is None:
+                return 0, flat
+            return int(adj.cluster_of[flat]), int(adj.local_of[flat])
+
         def read_value(flat):
-            cid = int(adj.cluster_of[flat])
-            lid = int(adj.local_of[flat])
+            cid, lid = address(flat)
             return float(state.clusters[cid].node_table.value[lid, m2])
 
         def write_value(flat, value, origin):
-            cid = int(adj.cluster_of[flat])
-            lid = int(adj.local_of[flat])
+            cid, lid = address(flat)
             table = state.clusters[cid].node_table
             table.value[lid, m2] = value
             table.origin[lid, m2] = origin
@@ -366,7 +386,9 @@ class VectorizedBackend(PropagationBackend):
                 slot = flat_i - seg[rep]
                 eidx = adj.indptr[gn][rep] + slot
                 erel = adj.edge_rel[eidx]
-                src_cluster = adj.cluster_of[gn][rep]
+                # Source cluster per expanding node (None: one cluster,
+                # so no edge is remote).
+                gcl = None if adj.cluster_of is None else adj.cluster_of[gn]
                 for m, (rid, nsidx) in enumerate(moves):
                     match = erel == rid
                     cnt = int(np.count_nonzero(match))
@@ -376,16 +398,19 @@ class VectorizedBackend(PropagationBackend):
                     em = eidx[match]
                     rm = rep[match]
                     jm = slot[match]
-                    sc = src_cluster[match]
                     nv = hop_apply(gv[rm], adj.edge_weight[em])
                     live = hop_alive(nv)
                     if live is not None:
-                        em, rm, jm = em[live], rm[live], jm[live]
-                        sc, nv = sc[live], nv[live]
+                        em, rm, jm, nv = em[live], rm[live], jm[live], nv[live]
                         if em.size == 0:
                             continue
                     dst = adj.edge_dest[em]
-                    remote = (adj.edge_dest_cluster[em] != sc).astype(np.uint8)
+                    if gcl is None:
+                        remote = np.zeros(em.size, dtype=np.uint8)
+                    else:
+                        remote = (
+                            adj.edge_dest_cluster[em] != gcl[rm]
+                        ).astype(np.uint8)
                     nmsg = int(remote.sum())
                     work.messages += nmsg
                     remote_messages += nmsg
@@ -405,7 +430,7 @@ class VectorizedBackend(PropagationBackend):
             rem = np.concatenate([c[1] for c in cand])
             j = np.concatenate([c[2] for c in cand])
             mv = np.concatenate([c[3] for c in cand])
-            dst = np.concatenate([c[4] for c in cand])
+            dst = np.concatenate([c[4] for c in cand], dtype=np.int64)
             nsx = np.concatenate([c[5] for c in cand])
             val = np.concatenate([c[6] for c in cand])
             org = np.concatenate([c[7] for c in cand])

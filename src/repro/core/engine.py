@@ -19,7 +19,7 @@ suite pins this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..isa.instructions import (
     AndMarker,
@@ -103,40 +103,43 @@ class RunResult:
         return total
 
 
-# Instruction class -> (dispatch kind, unbound MachineState primitive).
+# Instruction class -> (dispatch kind, MachineState primitive name).
 # Built once at import; execute() does a single dict probe per
 # instruction instead of rebuilding these tables and isinstance-scanning
-# them on every call (the old hot-path behavior).
+# them on every call.  Names, not unbound methods, are stored and looked
+# up on the state per call (as the simulator's ``_CLUSTER_PRIMITIVES``
+# are), so a wrapper installed on ``MachineState`` after import still
+# sees every call.
 _KIND_PROPAGATE = "propagate"
 _KIND_GLOBAL = "global"
 _KIND_CLUSTER = "cluster"
 _KIND_COLLECT = "collect"
 
-_DISPATCH: Dict[type, Tuple[str, Optional[Callable]]] = {
+_DISPATCH: Dict[type, Tuple[str, Optional[str]]] = {
     Propagate: (_KIND_PROPAGATE, None),
-    Create: (_KIND_GLOBAL, MachineState.create),
-    Delete: (_KIND_GLOBAL, MachineState.delete),
-    SetColor: (_KIND_GLOBAL, MachineState.set_color),
-    SearchNode: (_KIND_CLUSTER, MachineState.search_node),
-    SearchRelation: (_KIND_CLUSTER, MachineState.search_relation),
-    SearchColor: (_KIND_CLUSTER, MachineState.search_color),
-    AndMarker: (_KIND_CLUSTER, MachineState.and_marker),
-    OrMarker: (_KIND_CLUSTER, MachineState.or_marker),
-    NotMarker: (_KIND_CLUSTER, MachineState.not_marker),
-    SetMarker: (_KIND_CLUSTER, MachineState.set_marker),
-    ClearMarker: (_KIND_CLUSTER, MachineState.clear_marker),
-    FuncMarker: (_KIND_CLUSTER, MachineState.func_marker),
-    MarkerCreate: (_KIND_CLUSTER, MachineState.marker_create),
-    MarkerDelete: (_KIND_CLUSTER, MachineState.marker_delete),
-    MarkerSetColor: (_KIND_CLUSTER, MachineState.marker_set_color),
-    CollectNode: (_KIND_COLLECT, MachineState.collect_node),
-    CollectMarker: (_KIND_COLLECT, MachineState.collect_marker),
-    CollectRelation: (_KIND_COLLECT, MachineState.collect_relation),
-    CollectColor: (_KIND_COLLECT, MachineState.collect_color),
+    Create: (_KIND_GLOBAL, "create"),
+    Delete: (_KIND_GLOBAL, "delete"),
+    SetColor: (_KIND_GLOBAL, "set_color"),
+    SearchNode: (_KIND_CLUSTER, "search_node"),
+    SearchRelation: (_KIND_CLUSTER, "search_relation"),
+    SearchColor: (_KIND_CLUSTER, "search_color"),
+    AndMarker: (_KIND_CLUSTER, "and_marker"),
+    OrMarker: (_KIND_CLUSTER, "or_marker"),
+    NotMarker: (_KIND_CLUSTER, "not_marker"),
+    SetMarker: (_KIND_CLUSTER, "set_marker"),
+    ClearMarker: (_KIND_CLUSTER, "clear_marker"),
+    FuncMarker: (_KIND_CLUSTER, "func_marker"),
+    MarkerCreate: (_KIND_CLUSTER, "marker_create"),
+    MarkerDelete: (_KIND_CLUSTER, "marker_delete"),
+    MarkerSetColor: (_KIND_CLUSTER, "marker_set_color"),
+    CollectNode: (_KIND_COLLECT, "collect_node"),
+    CollectMarker: (_KIND_COLLECT, "collect_marker"),
+    CollectRelation: (_KIND_COLLECT, "collect_relation"),
+    CollectColor: (_KIND_COLLECT, "collect_color"),
 }
 
 
-def _dispatch_entry(cls: type) -> Optional[Tuple[str, Optional[Callable]]]:
+def _dispatch_entry(cls: type) -> Optional[Tuple[str, Optional[str]]]:
     """Dispatch entry for an instruction class, honoring subclasses."""
     entry = _DISPATCH.get(cls)
     if entry is None:
@@ -189,20 +192,23 @@ class FunctionalEngine:
             raise ExecutionError(
                 f"unsupported instruction: {instruction.opcode}"
             )
-        kind, primitive = entry
+        kind, name = entry
+        if kind == _KIND_PROPAGATE:
+            return self._propagate(instruction)
         state = self.state
+        primitive = getattr(state, name)
 
         if kind == _KIND_CLUSTER:
             work = WorkReport()
             for cid in range(state.num_clusters):
-                work.merge(primitive(state, cid, instruction))
+                work.merge(primitive(cid, instruction))
             return ExecutionRecord(instruction, work)
 
         if kind == _KIND_COLLECT:
             work = WorkReport()
             collected: List = []
             for cid in range(state.num_clusters):
-                part, part_work = primitive(state, cid, instruction)
+                part, part_work = primitive(cid, instruction)
                 collected.extend(part)
                 work.merge(part_work)
             # Full-tuple sort: ties on the leading global id (e.g.
@@ -212,10 +218,7 @@ class FunctionalEngine:
             collected.sort()
             return ExecutionRecord(instruction, work, result=collected)
 
-        if kind == _KIND_PROPAGATE:
-            return self._propagate(instruction)
-
-        return ExecutionRecord(instruction, primitive(state, instruction))
+        return ExecutionRecord(instruction, primitive(instruction))
 
     # ------------------------------------------------------------------
     def _propagate(self, instruction: Propagate) -> ExecutionRecord:

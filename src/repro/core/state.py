@@ -397,8 +397,10 @@ class MachineState:
     def set_color(self, instr: SetColor) -> WorkReport:
         """SET-COLOR: retag a node's color in network and tables."""
         gid = self.resolve(instr.node)
+        # Address first: a node outside the tables is a typed error
+        # that leaves the network unchanged.
+        cid, lid = self.address(gid)
         self.network.set_color(gid, instr.color)
-        cid, lid = self.addr[gid]
         self.clusters[cid].node_table.color[lid] = instr.color
         return WorkReport(nodes=1)
 

@@ -68,7 +68,6 @@ class Rebalancer:
         self._busy_shards: Set[int] = set()
         self.completed = 0
         self.aborted = 0
-        self._finish_cb = self._finish
 
     # ------------------------------------------------------------------
     def copy_duration_us(self, shard_id: int) -> float:
@@ -133,7 +132,7 @@ class Rebalancer:
             job = self._queue.popleft()
             self._in_flight += 1
             self.sim.schedule(
-                self.copy_duration_us(job.shard_id), self._finish_cb, job
+                self.copy_duration_us(job.shard_id), self._finish, job
             )
 
     def _finish(self, job: CopyJob) -> None:

@@ -29,7 +29,7 @@ lifecycle to quarantine gray replicas — a failover with no hard fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..host.health import HealthState, health_transition_records
@@ -76,7 +76,8 @@ class _FleetQueryState:
     """Router-side state of one in-flight scatter-gather."""
 
     query: Any
-    legs: List[_Leg] = field(default_factory=list)
+    #: Empty until the query is admitted, and again once it finalizes.
+    legs: Sequence[_Leg] = ()
     resolved: int = 0
     deadline_abs: Optional[float] = None
     deadline_event: Optional[list] = None
@@ -105,12 +106,17 @@ class FleetRouter:
         ]
         self.placement = PlacementMap(self.config, len(self.shards))
         self.sim = Simulator()
+        # Its completion callbacks are attached by serve(): they are
+        # references from the router to itself.
         self.rebalancer = Rebalancer(
-            self.sim, self.placement, self.shards, self.config,
-            on_complete=self._rebuild_done, on_abort=self._rebuild_aborted,
+            self.sim, self.placement, self.shards, self.config
         )
         self._servers: Dict[Tuple[int, int], Server] = {}
-        self._states: List[_FleetQueryState] = []
+        # The arrival stream in firing order, and the first of its
+        # reserved sequence numbers; see serve().
+        self._stream: List[Any] = []
+        self._arrival_base = 0
+        self._next_arrival = 0
         self._outcomes: List[FleetOutcome] = []
         self._legs_by_region: List[Set[_Leg]] = [
             set() for _ in range(self.config.num_regions)
@@ -125,12 +131,12 @@ class FleetRouter:
         self._legs_shed = [0] * num_shards
         self._legs_missed = [0] * num_shards
         self._rebuilds = [0] * num_shards
-        # Pre-bound callbacks (no per-event closures on the hot path).
-        self._arrive_cb = self._arrive
-        self._leg_done_cb = self._leg_done
-        self._leg_deadline_cb = self._leg_deadline
-        self._query_deadline_cb = self._query_deadline
-        self._region_event_cb = self._region_event
+        # Pre-bound callbacks (no per-event closures on the hot path),
+        # set only while serve() runs, like the host's.
+        self._arrive_cb: Any = None
+        self._leg_done_cb: Any = None
+        self._leg_deadline_cb: Any = None
+        self._query_deadline_cb: Any = None
         # Observability.  Process names are distinct from the host
         # layer's ("host"/"queries") so trace analysis keyed on those
         # processes never mistakes fleet tracks for host tracks.
@@ -170,28 +176,37 @@ class FleetRouter:
                 raise FleetError(f"duplicate query_id {query.query_id}")
             seen.add(query.query_id)
         sim = self.sim
-        for event in self.config.region_schedule.events:
-            sim.schedule(event.time_us, self._region_event_cb, event)
-        default_deadline = self.config.default_deadline_us
-        for query in sorted(
-            queries, key=lambda q: (q.arrival_us, q.query_id)
-        ):
-            deadline = (
-                query.deadline_us
-                if query.deadline_us is not None
-                else default_deadline
+        rebalancer = self.rebalancer
+        self._arrive_cb = self._arrive
+        self._leg_done_cb = self._leg_done
+        self._leg_deadline_cb = self._leg_deadline
+        self._query_deadline_cb = self._query_deadline
+        rebalancer.on_complete = self._rebuild_done
+        rebalancer.on_abort = self._rebuild_aborted
+        try:
+            # Region events take the first sequence numbers, ahead of
+            # every arrival; arrivals are then built one ahead, as in
+            # the serving host.
+            for event in self.config.region_schedule.events:
+                sim.schedule(event.time_us, self._region_event, event)
+            stream = self._stream = sorted(
+                queries, key=lambda q: (q.arrival_us, q.query_id)
             )
-            state = _FleetQueryState(
-                query=query,
-                deadline_abs=(
-                    None if deadline is None
-                    else query.arrival_us + deadline
-                ),
-            )
-            self._states.append(state)
-            sim.schedule(query.arrival_us, self._arrive_cb, state)
-        sim.run()
-        stuck = [s.query.query_id for s in self._states if not s.finished]
+            self._arrival_base = sim.reserve_seqs(len(stream))
+            if stream:
+                self._next_arrival = 1
+                sim.schedule_reserved(
+                    stream[0].arrival_us, self._arrival_base,
+                    self._arrive_cb, self._new_state(stream[0]),
+                )
+            sim.run()
+        finally:
+            # A finished router is then freed by reference counting.
+            self._arrive_cb = self._leg_done_cb = None
+            self._leg_deadline_cb = self._query_deadline_cb = None
+            rebalancer.on_complete = rebalancer.on_abort = None
+        done = {o.query_id for o in self._outcomes}
+        stuck = [q.query_id for q in stream if q.query_id not in done]
         if stuck:
             raise RuntimeError(f"fleet deadlock: queries {stuck}")
         if self._sink is not None:
@@ -201,7 +216,27 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Arrival, fan-out, and leg dispatch
     # ------------------------------------------------------------------
+    def _new_state(self, query: Any) -> _FleetQueryState:
+        deadline = query.deadline_us
+        if deadline is None:
+            deadline = self.config.default_deadline_us
+        return _FleetQueryState(
+            query=query,
+            deadline_abs=(
+                None if deadline is None else query.arrival_us + deadline
+            ),
+        )
+
     def _arrive(self, state: _FleetQueryState) -> None:
+        nxt = self._next_arrival
+        stream = self._stream
+        if nxt < len(stream):
+            query = stream[nxt]
+            self._next_arrival = nxt + 1
+            self.sim.schedule_reserved(
+                query.arrival_us, self._arrival_base + nxt,
+                self._arrive_cb, self._new_state(query),
+            )
         now = self.sim.now
         if self._tr is not None:
             qid = state.query.query_id
@@ -441,18 +476,17 @@ class FleetRouter:
         if state.finished:
             return
         state.finished = True
+        # Each leg refers back to its query: dropping the query's list
+        # breaks that cycle, so both are freed by reference counting
+        # once the last event holding a leg has fired.
+        legs = state.legs
+        state.legs = ()
         now = self.sim.now
         if state.deadline_event is not None:
             self.sim.cancel(state.deadline_event)
-        fresh = tuple(
-            leg.shard_id for leg in state.legs if leg.status == _FRESH
-        )
-        stale = tuple(
-            leg.shard_id for leg in state.legs if leg.status == _STALE
-        )
-        shed = tuple(
-            leg.shard_id for leg in state.legs if leg.status == _SHED
-        )
+        fresh = tuple(leg.shard_id for leg in legs if leg.status == _FRESH)
+        stale = tuple(leg.shard_id for leg in legs if leg.status == _STALE)
+        shed = tuple(leg.shard_id for leg in legs if leg.status == _SHED)
         if status is None:
             answered = len(fresh) + len(stale)
             if not stale and not shed:
@@ -464,7 +498,7 @@ class FleetRouter:
         correct = True
         results: Dict[int, List[Any]] = {}
         if status in (FleetStatus.COMPLETE, FleetStatus.DEGRADED):
-            for leg in state.legs:
+            for leg in legs:
                 if leg.status not in (_FRESH, _STALE):
                     continue
                 reference = self.executors[leg.shard_id].reference_results(
@@ -502,7 +536,7 @@ class FleetRouter:
                 stale=len(stale),
                 reason=shed_reason,
             )
-        if state.legs and status is not FleetStatus.SHED:
+        if legs and status is not FleetStatus.SHED:
             self._in_flight -= 1
             if self._observed:
                 self._note_in_flight()

@@ -133,11 +133,9 @@ class ServingHost:
             self.config.queue_capacity, self.config.shed_policy
         )
         self.outcomes: List[QueryOutcome] = []
-        self._states: List[_QueryState] = []
         self._ran = False
         # Hot-path plumbing: the queue's raw deque (emptiness checks
-        # without a method call) and pre-bound callbacks, so the
-        # per-query/per-attempt paths never allocate a bound method.
+        # without a method call).
         self._buffer = self.queue.buffer
         self._replicas = self.array.replicas
         # Health lifecycle + integrity auditing (both default-off; an
@@ -163,14 +161,18 @@ class ServingHost:
         self.audit_checks = 0
         self.audit_mismatches = 0
         self._audit_log: List[Tuple[float, int, int, bool]] = []
-        self._hopeless_cb = self._hopeless
-        self._attempt_done_cb = self._attempt_done
-        self._maybe_hedge_cb = self._maybe_hedge
-        self._on_deadline_cb = self._on_deadline
-        # Arrivals are reserved up front (fixing tie-break order) but
-        # committed to the event heap one at a time; see serve().
-        self._arrivals: List[Any] = []
-        self._arrival_count = 0
+        # Pre-bound callbacks, so the per-query/per-attempt paths never
+        # allocate a bound method.  Each is a reference from the host
+        # to itself, so they exist only while serve() runs.
+        self._on_arrival_cb: Any = None
+        self._hopeless_cb: Any = None
+        self._attempt_done_cb: Any = None
+        self._maybe_hedge_cb: Any = None
+        self._on_deadline_cb: Any = None
+        # The arrival stream in firing order, and the first of its
+        # reserved sequence numbers; see serve().
+        self._stream: List[Query] = []
+        self._arrival_base = 0
         self._next_arrival = 0
         # Tail-drop on a full queue needs no admission-control logic
         # beyond a length check; precompute whether that shortcut
@@ -218,41 +220,38 @@ class ServingHost:
             if query.query_id in seen:
                 raise HostError(f"duplicate query_id {query.query_id}")
             seen.add(query.query_id)
-        default_deadline = self.config.default_deadline_us
-        states = self._states
-        sim = self.sim
-        reserve = sim.reserve
-        on_arrival = self._on_arrival
-        arrivals = self._arrivals
-        for query in sorted(
+        stream = self._stream = sorted(
             queries, key=lambda q: (q.arrival_us, q.query_id)
-        ):
-            deadline = (
-                query.deadline_us
-                if query.deadline_us is not None
-                else default_deadline
-            )
-            state = _QueryState(
-                query=query,
-                deadline_us=deadline,
-                deadline_abs=(
-                    None if deadline is None
-                    else query.arrival_us + deadline
-                ),
-            )
-            states.append(state)
-            arrivals.append(reserve(query.arrival_us, on_arrival, state))
-        # Reserving assigned every arrival its sequence number first
-        # (identical FIFO tie-breaking to scheduling them all), but
-        # only one arrival sits in the heap at a time — each commits
-        # its successor on firing — so heap depth tracks the queries
+        )
+        # Every arrival's sequence number is reserved first (identical
+        # FIFO tie-breaking to scheduling them all), but an arrival's
+        # state and event are built only when its predecessor fires, so
+        # the heap and the live per-query state track the queries
         # actually in flight rather than the whole stream.
-        self._arrival_count = len(arrivals)
-        if arrivals:
-            self._next_arrival = 1
-            sim.commit(arrivals[0])
-        sim.run()
-        stuck = [s.query.query_id for s in self._states if not s.terminal]
+        sim = self.sim
+        self._arrival_base = sim.reserve_seqs(len(stream))
+        self._on_arrival_cb = self._on_arrival
+        self._hopeless_cb = self._hopeless
+        self._attempt_done_cb = self._attempt_done
+        self._maybe_hedge_cb = self._maybe_hedge
+        self._on_deadline_cb = self._on_deadline
+        try:
+            if stream:
+                self._next_arrival = 1
+                sim.schedule_reserved(
+                    stream[0].arrival_us, self._arrival_base,
+                    self._on_arrival_cb, self._new_state(stream[0]),
+                )
+            sim.run()
+        finally:
+            # Without its self-references a finished host, with every
+            # query state and outcome it holds, is freed by reference
+            # counting instead of waiting for a full cyclic collection.
+            self._on_arrival_cb = self._hopeless_cb = None
+            self._attempt_done_cb = self._maybe_hedge_cb = None
+            self._on_deadline_cb = None
+        done = {o.query_id for o in self.outcomes}
+        stuck = [q.query_id for q in stream if q.query_id not in done]
         if stuck:
             raise RuntimeError(f"serving deadlock: queries {stuck}")
         if self._observed:
@@ -290,11 +289,28 @@ class ServingHost:
     # ------------------------------------------------------------------
     # Arrival and admission
     # ------------------------------------------------------------------
+    def _new_state(self, query: Query) -> _QueryState:
+        deadline = query.deadline_us
+        if deadline is None:
+            deadline = self.config.default_deadline_us
+        return _QueryState(
+            query=query,
+            deadline_us=deadline,
+            deadline_abs=(
+                None if deadline is None else query.arrival_us + deadline
+            ),
+        )
+
     def _on_arrival(self, state: _QueryState) -> None:
         nxt = self._next_arrival
-        if nxt < self._arrival_count:
-            self.sim.commit(self._arrivals[nxt])
+        stream = self._stream
+        if nxt < len(stream):
+            query = stream[nxt]
             self._next_arrival = nxt + 1
+            self.sim.schedule_reserved(
+                query.arrival_us, self._arrival_base + nxt,
+                self._on_arrival_cb, self._new_state(query),
+            )
         if self._observed:
             self._trace_arrival(state)
         if self._sink is not None:

@@ -74,32 +74,41 @@ class Simulator:
         heapq.heappush(self._heap, event)
         return event
 
-    def reserve(
-        self, time: float, fn: Callable[..., None], *args: Any
-    ) -> _Event:
-        """Create an event for a known future instant *without* putting
-        it in the heap yet.
+    def reserve_seqs(self, count: int) -> int:
+        """Reserve ``count`` consecutive sequence numbers; return the
+        first.
 
-        The sequence number is assigned immediately, so a caller that
-        knows its whole schedule up front (the serving host's arrival
-        stream) can fix the FIFO tie-break order of all its events
-        first and still keep the heap as shallow as the live horizon:
-        heap-operation cost scales with events actually in flight, not
-        with the total stream length.  The caller owns delivery — each
-        reserved event must be handed to :meth:`commit` before the
-        clock reaches its time, and must not be cancelled while
-        uncommitted.  Reserved events count as pending.
+        A caller that knows the order of a stream of future events (the
+        serving host's and the fleet router's arrivals) fixes the FIFO
+        tie-break order of all of them here, then enters each with
+        :meth:`schedule_reserved` only when it must be in the heap, so
+        neither the heap nor the per-event state has to hold the whole
+        stream up front.  The reserved events count as pending from now
+        on; the caller owns delivery, and must schedule every reserved
+        number before the clock passes its event's time.
         """
-        if time < self.now:
-            raise SimulationError(f"reserve in the past: {time} < {self.now}")
-        event = [time, self._seq, fn, args]
-        self._seq += 1
-        self._live += 1
-        return event
+        if count < 0:
+            raise SimulationError(f"negative reservation: {count}")
+        base = self._seq
+        self._seq = base + count
+        self._live += count
+        return base
 
-    def commit(self, event: _Event) -> None:
-        """Enter a :meth:`reserve`-d event into the heap."""
+    def schedule_reserved(
+        self, time: float, seq: int, fn: Callable[..., None], *args: Any
+    ) -> _Event:
+        """Enter the event holding reserved sequence number ``seq``:
+        ``fn(*args)`` at absolute time ``time``.  Returns a handle
+        accepted by :meth:`cancel`."""
+        if time < self.now:
+            raise SimulationError(
+                f"reserved event in the past: {time} < {self.now}"
+            )
+        if seq >= self._seq:
+            raise SimulationError(f"sequence number {seq} was not reserved")
+        event = [time, seq, fn, args]
         heapq.heappush(self._heap, event)
+        return event
 
     def cancel(self, event: _Event) -> None:
         """Cancel a scheduled event (lazy O(1) removal).
@@ -372,8 +381,6 @@ class Server:
         self.penalty_hook: Optional[Callable[[Job], float]] = None
         #: Completion timestamp of the job in service (valid when busy).
         self._service_end = 0.0
-        #: Reusable completion callback (no per-job closure).
-        self._finish_cb = self._finish
 
     @property
     def busy(self) -> bool:
@@ -411,7 +418,11 @@ class Server:
         if self.penalty_hook is not None:
             service += self.penalty_hook(job)
         self.busy_time += service
-        self._service_end = self.sim.schedule(service, self._finish_cb, job)[0]
+        # ``self._finish`` is bound per job rather than cached on the
+        # server: a cached bound method would make every server a
+        # reference cycle, left for the cyclic collector by each timed
+        # machine run and each fleet router stream.
+        self._service_end = self.sim.schedule(service, self._finish, job)[0]
 
     def _finish(self, job: Job) -> None:
         self.jobs_done += 1
@@ -460,7 +471,6 @@ class ServerPool:
         self.penalty_hook: Optional[Callable[[Job], float]] = None
         #: Completion timestamps of the jobs in service.
         self._service_ends: List[float] = []
-        self._finish_cb = self._finish
 
     @property
     def busy_servers(self) -> int:
@@ -532,7 +542,8 @@ class ServerPool:
         if self.penalty_hook is not None:
             service += self.penalty_hook(job)
         self.busy_time += service
-        event = self.sim.schedule(service, self._finish_cb, job)
+        # Bound per job, not cached: see Server._start.
+        event = self.sim.schedule(service, self._finish, job)
         self._service_ends.append(event[0])
 
     def _finish(self, job: Job) -> None:

@@ -28,11 +28,16 @@ Three consumers of one sample table:
 
 Sampling honesty: the sampler sees only the frames the GIL lets it
 see, at the cadence the host scheduler grants.  Counts are estimates;
-ratios between frames on the same profile are the signal.
+ratios between frames on the same profile are the signal.  A cyclic
+garbage collection holds the GIL throughout, so the sampler cannot see
+it at all: the profiler times collections separately, per generation,
+through ``gc.callbacks`` (:attr:`Profile.gc_collections` and
+:attr:`Profile.gc_seconds`).
 """
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 import threading
@@ -125,6 +130,10 @@ class Profile:
     sample_count: int = 0
     duration_s: float = 0.0
     hz: float = DEFAULT_HZ
+    #: Cyclic-collector runs per generation (0, 1, 2) while sampling.
+    gc_collections: List[int] = field(default_factory=lambda: [0, 0, 0])
+    #: Wall seconds spent in those collections, per generation.
+    gc_seconds: List[float] = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
     @property
     def effective_hz(self) -> float:
@@ -194,6 +203,22 @@ class Profile:
             for label, count in ranked
         ]
 
+    def gc_rows(self) -> List[Dict[str, Any]]:
+        """Collections and seconds per collector generation; the share
+        is of the profile's wall duration."""
+        return [
+            {
+                "generation": generation,
+                "collections": self.gc_collections[generation],
+                "seconds": self.gc_seconds[generation],
+                "wall_share": (
+                    self.gc_seconds[generation] / self.duration_s
+                    if self.duration_s > 0 else 0.0
+                ),
+            }
+            for generation in range(3)
+        ]
+
     def bucket_rollup(self) -> List[Dict[str, Any]]:
         """Module-level rollup into subsystem buckets.
 
@@ -255,6 +280,17 @@ class Profile:
                 f"| {100.0 * row['exclusive_share']:.1f}% "
                 f"| {row['inclusive']} |"
             )
+        lines += [
+            "", "## Garbage collector (timed, invisible to sampling)", "",
+        ]
+        lines.append("| generation | collections | seconds | wall % |")
+        lines.append("|---|---|---|---|")
+        for row in self.gc_rows():
+            lines.append(
+                f"| {row['generation']} | {row['collections']} "
+                f"| {row['seconds']:.4f} "
+                f"| {100.0 * row['wall_share']:.1f}% |"
+            )
         lines += ["", f"## Hottest frames (top {top} by inclusive)", ""]
         lines.append("| frame | inclusive | incl % | exclusive |")
         lines.append("|---|---|---|---|")
@@ -296,6 +332,7 @@ class Profile:
             "effective_hz": self.effective_hz,
             "distinct_stacks": len(self.samples),
             "buckets": self.bucket_rollup(),
+            "gc": self.gc_rows(),
             "hot_frames": self.hot_frames(top),
         }
         if join_rows is not None:
@@ -331,6 +368,9 @@ class SamplingProfiler:
         self._thread: Optional[threading.Thread] = None
         self._target_ident: Optional[int] = None
         self._started_at = 0.0
+        self._gc_collections = [0, 0, 0]
+        self._gc_seconds = [0.0, 0.0, 0.0]
+        self._gc_started_at = 0.0
 
     @property
     def running(self) -> bool:
@@ -343,6 +383,7 @@ class SamplingProfiler:
         self._target_ident = threading.get_ident()
         self._stop_event.clear()
         self._started_at = time.perf_counter()
+        gc.callbacks.append(self._on_gc)
         self._thread = threading.Thread(
             target=self._sample_loop, name="repro-perf-sampler", daemon=True
         )
@@ -356,6 +397,7 @@ class SamplingProfiler:
             self._thread.join()
             self._thread = None
             self._duration_s += time.perf_counter() - self._started_at
+            gc.callbacks.remove(self._on_gc)
         return self.profile()
 
     def profile(self) -> Profile:
@@ -368,6 +410,8 @@ class SamplingProfiler:
             sample_count=self._sample_count,
             duration_s=duration,
             hz=self.hz,
+            gc_collections=list(self._gc_collections),
+            gc_seconds=list(self._gc_seconds),
         )
 
     def __enter__(self) -> "SamplingProfiler":
@@ -375,6 +419,19 @@ class SamplingProfiler:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        """``gc.callbacks`` hook: time each collection, whichever thread
+        triggered it; a collection holds the GIL, so every thread
+        waits through it."""
+        if phase == "start":
+            self._gc_started_at = time.perf_counter()
+            return
+        generation = info["generation"]
+        self._gc_collections[generation] += 1
+        self._gc_seconds[generation] += (
+            time.perf_counter() - self._gc_started_at
+        )
 
     # -- sampler thread -------------------------------------------------
     def _sample_loop(self) -> None:

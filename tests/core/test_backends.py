@@ -8,6 +8,7 @@ partition policies, and the bench harness's unreliable-wall flag.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.bench import (
@@ -138,6 +139,24 @@ def test_cache_keyed_on_state_identity():
     adjacency_a = backend._adj
     engine_b.run(program)
     assert backend._adj is not adjacency_a  # different MachineState
+
+
+@pytest.mark.parametrize("clusters", [1, 3])
+def test_adjacency_columns_are_compact(clusters):
+    """Index columns are int32; a one-cluster machine stores no cluster
+    columns at all (every flat id is its local id, no edge is remote)."""
+    engine = FunctionalEngine(
+        generate_hierarchy_kb(60, branching=3), clusters, backend="vectorized"
+    )
+    engine.run(assemble(PROGRAM))
+    adj = engine.backend._adj
+    columns = [adj.to_global, adj.indptr, adj.edge_rel, adj.edge_dest,
+               adj.scanned]
+    if clusters == 1:
+        assert adj.cluster_of is adj.local_of is adj.edge_dest_cluster is None
+    else:
+        columns += [adj.cluster_of, adj.local_of, adj.edge_dest_cluster]
+    assert {column.dtype for column in columns} == {np.dtype(np.int32)}
 
 
 def test_mutation_version_counter():

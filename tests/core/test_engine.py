@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core import FunctionalEngine, run_program
-from repro.isa import assemble
-from repro.network import Color
+from repro.baselines import SimdMachine
+from repro.core import (
+    ExecutionError, FunctionalEngine, MachineState, run_program,
+)
+from repro.isa import SetColor, assemble
+from repro.network import Color, generate_hierarchy_kb
 
 FIG5_PROGRAM = """
 SEARCH-NODE w:we m1 0.0
@@ -91,3 +94,40 @@ class TestStatePersistence:
         engine.run(assemble("SEARCH-NODE w:we m1"))
         result = engine.run(assemble("COLLECT-NODE m1"))
         assert result.records[-1].result[0][1] == "w:we"
+
+
+class TestSetColorOfUnhostedNode:
+    def test_typed_error_and_network_unchanged(self, fig5_kb):
+        """A node added to the network object directly is not in the
+        tables: SET-COLOR names it in a typed error before changing
+        anything."""
+        engine = FunctionalEngine(fig5_kb, 2)
+        engine.state.network.add_node("stray")
+        with pytest.raises(ExecutionError, match="stray"):
+            engine.execute(SetColor("stray", 7))
+        assert engine.state.network.node("stray").color == 0
+
+
+class TestDispatchSeesClassWrappers:
+    def test_wrapper_installed_after_import_counts_collects(
+        self, monkeypatch
+    ):
+        """The engine looks its primitives up per call, so a wrapper
+        put on ``MachineState`` after import sees every non-PROPAGATE
+        call, including the CM-2 baseline's."""
+        calls = []
+        original = MachineState.collect_node
+
+        def counting(self, cid, instruction):
+            calls.append(cid)
+            return original(self, cid, instruction)
+
+        monkeypatch.setattr(MachineState, "collect_node", counting)
+        machine = SimdMachine(generate_hierarchy_kb(40, branching=3))
+        report = machine.run(assemble("""
+        SEARCH-NODE thing m1
+        PROPAGATE m1 m2 chain(inverse:is-a)
+        COLLECT-NODE m2
+        """))
+        assert report.results()[-1]
+        assert len(calls) > 0

@@ -1,6 +1,8 @@
 """Discrete-event kernel: ordering, servers, pools."""
 
+import gc
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -176,36 +178,81 @@ class TestHeapCompaction:
         assert sim.pending == 0
 
 
-class TestReserveCommit:
+class TestReserveSeqs:
     def test_reserved_seq_fixes_tie_break_order(self):
         """A reserved event fires before a same-time event scheduled
-        later, even when committed after it — the tie-break follows
-        reservation order, not heap-entry order."""
+        later, even when entered into the heap after it — the tie-break
+        follows reservation order, not heap-entry order."""
         sim = Simulator()
         log = []
-        reserved = sim.reserve(5.0, log.append, "reserved")
+        base = sim.reserve_seqs(2)
         sim.schedule(5.0, log.append, "scheduled")
-        sim.commit(reserved)
+        sim.schedule_reserved(5.0, base + 1, log.append, "second")
+        sim.schedule_reserved(5.0, base, log.append, "first")
         sim.run()
-        assert log == ["reserved", "scheduled"]
+        assert log == ["first", "second", "scheduled"]
 
     def test_reserved_event_is_pending_but_not_in_heap(self):
         sim = Simulator()
-        event = sim.reserve(3.0, lambda: None)
-        assert sim.pending == 1
+        base = sim.reserve_seqs(3)
+        assert sim.pending == 3
         assert sim.heap_size == 0
-        sim.commit(event)
+        fired = []
+
+        def chain(i):
+            # Each reserved event enters its successor, one ahead.
+            fired.append(i)
+            if i + 1 < 3:
+                sim.schedule_reserved(
+                    sim.now + 1.0, base + i + 1, chain, i + 1
+                )
+                assert sim.heap_size == 1
+
+        sim.schedule_reserved(3.0, base, chain, 0)
         assert sim.heap_size == 1
         sim.run()
-        assert sim.events_processed == 1
+        assert fired == [0, 1, 2]
+        assert sim.events_processed == 3
         assert sim.pending == 0
 
     def test_reserve_in_past_rejected(self):
         sim = Simulator()
         sim.schedule(2.0, lambda: None)
+        base = sim.reserve_seqs(1)
         sim.run()
-        with pytest.raises(SimulationError):
-            sim.reserve(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="past"):
+            sim.schedule_reserved(1.0, base, lambda: None)
+
+    def test_unreserved_seq_and_negative_count_rejected(self):
+        sim = Simulator()
+        base = sim.reserve_seqs(1)
+        with pytest.raises(SimulationError, match="not reserved"):
+            sim.schedule_reserved(1.0, base + 1, lambda: None)
+        with pytest.raises(SimulationError, match="negative"):
+            sim.reserve_seqs(-1)
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("make", [
+        lambda sim: Server(sim), lambda sim: ServerPool(sim, 2),
+    ])
+    def test_server_freed_by_reference_counting(self, make):
+        """A server holds no reference to itself (completions bind
+        ``_finish`` per job), so one that has served jobs is freed as
+        soon as it is dropped, with the collector off."""
+        gc.disable()
+        try:
+            sim = Simulator()
+            server = make(sim)
+            for _ in range(3):
+                server.submit(Job(1.0))
+            sim.run()
+            assert server.jobs_done == 3
+            ref = weakref.ref(server)
+            del server
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestElapsedBusyTime:

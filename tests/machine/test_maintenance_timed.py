@@ -18,6 +18,7 @@ from repro.isa import (
     chain,
     complex_marker,
 )
+from repro.core import ExecutionError
 from repro.machine import MachineConfig, SnapMachine
 
 M0, M1 = complex_marker(0), complex_marker(1)
@@ -85,6 +86,12 @@ class TestUnhostedNode:
         assert not report.aborted
         mu_jobs = [busy["mu_jobs"] for busy in report.cluster_busy]
         assert mu_jobs == [1, 0, 0, 0]
+
+    def test_set_color_is_a_typed_error_before_any_change(self, machine):
+        machine.state.network.add_node("stray")
+        with pytest.raises(ExecutionError, match="stray"):
+            machine.run(SnapProgram([SetColor("stray", 42)]))
+        assert machine.state.network.node("stray").color == 0
 
     def test_other_lookup_failures_propagate(self, machine, monkeypatch):
         def broken_address(ref):

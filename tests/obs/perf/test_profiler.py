@@ -1,5 +1,7 @@
 """Sampling profiler: sampler lifecycle, folded stacks, rollups, join."""
 
+import gc
+import json
 import time
 
 import pytest
@@ -144,8 +146,6 @@ class TestReport:
         assert "PROPAGATE" in text
 
     def test_as_dict_round_trips_to_json_types(self):
-        import json
-
         profile = _profile({("a:f",): 1})
         record = profile.as_dict()
         assert record["kind"] == "repro-perf-profile"
@@ -198,6 +198,44 @@ class TestSamplerLifecycle:
     def test_invalid_hz_rejected(self):
         with pytest.raises(ValueError):
             SamplingProfiler(hz=0)
+
+
+class TestGarbageCollector:
+    """Collections hold the GIL, so the sampler cannot see them; the
+    profiler times them per generation instead."""
+
+    def test_collections_counted_and_timed_per_generation(self):
+        profiler = SamplingProfiler(hz=500)
+        with profiler:
+            gc.collect(0)
+            gc.collect(2)
+            gc.collect(2)
+        profile = profiler.profile()
+        assert profile.gc_collections[0] >= 1
+        assert profile.gc_collections[2] >= 2
+        assert all(seconds >= 0.0 for seconds in profile.gc_seconds)
+        assert profile.gc_seconds[2] > 0.0
+        assert profiler._on_gc not in gc.callbacks  # unhooked on stop
+
+    def test_collections_outside_sampling_not_counted(self):
+        profiler = SamplingProfiler(hz=500)
+        with profiler:
+            pass
+        gc.collect(2)
+        assert profiler.profile().gc_collections[2] == 0
+
+    def test_report_and_record_carry_gc_rows(self):
+        profile = _profile({("a:f",): 10})
+        profile.gc_collections = [5, 1, 1]
+        profile.gc_seconds = [0.01, 0.0, 0.05]
+        text = profile.report(label="unit")
+        assert "## Garbage collector" in text
+        assert "| 2 | 1 | 0.0500 | 50.0% |" in text
+        record = json.loads(json.dumps(profile.as_dict()))
+        assert [row["generation"] for row in record["gc"]] == [0, 1, 2]
+        assert record["gc"][0]["collections"] == 5
+        assert record["gc"][2]["seconds"] == 0.05
+        assert record["gc"][2]["wall_share"] == pytest.approx(0.5)
 
 
 class TestWallSimulatedJoin:
